@@ -1,20 +1,16 @@
 // Stream-engine throughput: events/sec of the online surveillance engine
 // (src/query/stream/) as a function of registered query count, matching
 // path (entity-keyed partial index vs. the legacy full-scan wildcard
-// path), shard count, and sharding mode (round-robin query partitioning
-// vs. entity-hash data partitioning).
+// path), and shard count (round-robin query partitioning).
 //
 // Shape to reproduce: the entity index must beat the full scan on the
 // many-queries workload — the scan path touches every live partial of
 // every query per event, the index only the partials the event's entities
 // can extend. Shard rows split the same workload across worker shards
 // (events/sec needs a multicore host to show wall-clock scaling; on a
-// 1-core container the rows pin the merge/inbox overhead instead, and
-// the entity-hash rows' routing_skew / handoffs / inbox_peak counters
-// document how the work *distributes* across shards). The hot-query rows
-// replay a hub-skewed stream against a single query — the workload
-// round-robin cannot scale (one query = one shard) but entity-hash
-// spreads by construction.
+// 1-core host the rows pin the broadcast/merge overhead instead). The
+// hot-query row replays a hub-skewed stream against a single query — the
+// workload query partitioning cannot spread (one query = one shard).
 //
 // Flags: --queries=Q (largest query-count step), --events=N, --window=W,
 // --shards=S (extra shard counts, plumbed like --threads), --max_gap=G
@@ -22,8 +18,8 @@
 // guard of G, run once with guard-driven per-partial expiry and once with
 // window-only expiry — identical alerts required, peak live partials is
 // the measurement), --seed, --json_out=FILE. Alert totals are
-// cross-checked across all configurations of a step: every path, shard
-// count, and sharding mode must agree.
+// cross-checked across all configurations of a step: every path and shard
+// count must agree.
 
 #include <atomic>
 #include <chrono>
@@ -86,18 +82,13 @@ struct RunStats {
   std::size_t peak_partials = 0;
   std::int64_t dropped = 0;
   std::int64_t seed_skips = 0;
-  // Entity-hash routing counters (zero in round-robin mode).
-  std::int64_t handoffs = 0;
-  double routing_skew = 0;
-  std::size_t inbox_peak = 0;  ///< max over shards
 };
 
 RunStats RunEngine(const std::vector<Pattern>& queries,
                    const std::vector<StreamEvent>& events, Timestamp window,
                    bool entity_index, int num_shards,
                    const std::vector<TemporalConstraints>& constraints = {},
-                   bool guard_expiry = true,
-                   ShardingMode mode = ShardingMode::kQueryRoundRobin) {
+                   bool guard_expiry = true) {
   StreamEngine::Options options;
   options.window = window;
   options.entity_index = entity_index;
@@ -105,7 +96,6 @@ RunStats RunEngine(const std::vector<Pattern>& queries,
   options.batch_size = num_shards > 1 ? 32 : 1;
   options.max_partials_per_query = 50000;
   options.guard_expiry = guard_expiry;
-  options.sharding = mode;
   StreamEngine engine(options);
   for (std::size_t q = 0; q < queries.size(); ++q) {
     if (q < constraints.size()) {
@@ -129,11 +119,6 @@ RunStats RunEngine(const std::vector<Pattern>& queries,
   stats.seed_skips = engine_stats.seed_skips;
   for (const EngineQueryStats& q : engine_stats.queries) {
     stats.peak_partials += q.peak_partials;
-  }
-  stats.handoffs = engine_stats.handoffs;
-  stats.routing_skew = engine_stats.routing_skew;
-  for (const EngineShardStats& s : engine_stats.shards) {
-    if (s.inbox_peak > stats.inbox_peak) stats.inbox_peak = s.inbox_peak;
   }
   return stats;
 }
@@ -191,10 +176,8 @@ int main(int argc, char** argv) {
   for (int num_queries : steps) {
     std::vector<Pattern> subset(queries.begin(),
                                 queries.begin() + num_queries);
-    auto row = [&](const char* path, bool indexed, int shards,
-                   ShardingMode mode = ShardingMode::kQueryRoundRobin) {
-      RunStats stats = RunEngine(subset, events, window, indexed, shards, {},
-                                 true, mode);
+    auto row = [&](const char* path, bool indexed, int shards) {
+      RunStats stats = RunEngine(subset, events, window, indexed, shards);
       std::printf("%8d %8s %8d %14.0f %10lld %12zu %10lld %12lld\n",
                   num_queries, path, shards, stats.events_per_sec,
                   static_cast<long long>(stats.alerts), stats.peak_partials,
@@ -209,13 +192,9 @@ int main(int argc, char** argv) {
                 {"queries", static_cast<double>(num_queries)},
                 {"shards", static_cast<double>(shards)},
                 {"indexed", indexed ? 1.0 : 0.0},
-                {"entity_hash", mode == ShardingMode::kEntityHash ? 1.0 : 0.0},
                 {"alerts", static_cast<double>(stats.alerts)},
                 {"dropped", static_cast<double>(stats.dropped)},
-                {"seed_skips", static_cast<double>(stats.seed_skips)},
-                {"handoffs", static_cast<double>(stats.handoffs)},
-                {"routing_skew", stats.routing_skew},
-                {"inbox_peak", static_cast<double>(stats.inbox_peak)}});
+                {"seed_skips", static_cast<double>(stats.seed_skips)}});
       return stats;
     };
     RunStats scan = row("scan", false, 1);
@@ -265,26 +244,12 @@ int main(int argc, char** argv) {
       for (int shards : shard_steps) {
         check_mode("index", shards, row("index", true, shards));
       }
-      // Entity-hash sweep: shards=1 is the inline no-thread path (the
-      // no-regression baseline against round-robin shards=1); multi-shard
-      // rows carry the routing counters (handoffs, skew, inbox peaks)
-      // into the JSON. Alerts/drops/skips must match the round-robin
-      // oracle bit-for-bit in every configuration.
-      check_mode("ehash", 1,
-                 row("ehash", true, 1, ShardingMode::kEntityHash));
-      for (int shards : shard_steps) {
-        check_mode("ehash", shards,
-                   row("ehash", true, shards, ShardingMode::kEntityHash));
-      }
     }
   }
 
-  // Single hot query over a hub-skewed stream: the workload round-robin
-  // cannot parallelize (one query lives on one shard) but entity-hash
-  // spreads across shards by construction. On a 1-core host the
-  // events/sec columns stay flat; the routing_skew / handoffs counters
-  // are the evidence that the work *distributes* (the max/mean probe
-  // share per shard), which is what this row exists to record.
+  // Single hot query over a hub-skewed stream: the workload query
+  // partitioning cannot parallelize (one query lives on one shard), so
+  // this row is the single-query probe-cost reference.
   {
     std::mt19937_64 hot_rng(seed + 1);
     Pattern hot_query = RandomQuery(hot_rng, 3, 2);
@@ -305,51 +270,16 @@ int main(int argc, char** argv) {
                                        kNoEdgeLabel, i});
     }
     const std::vector<Pattern> hot_queries = {hot_query};
-    RunStats hot_rr =
-        RunEngine(hot_queries, hot_events, window, true, 1);
+    RunStats hot = RunEngine(hot_queries, hot_events, window, true, 1);
     std::printf("%8s %8s %8d %14.0f %10lld %12zu %10lld %12lld\n", "hot",
-                "index", 1, hot_rr.events_per_sec,
-                static_cast<long long>(hot_rr.alerts), hot_rr.peak_partials,
-                static_cast<long long>(hot_rr.dropped),
-                static_cast<long long>(hot_rr.seed_skips));
+                "index", 1, hot.events_per_sec,
+                static_cast<long long>(hot.alerts), hot.peak_partials,
+                static_cast<long long>(hot.dropped),
+                static_cast<long long>(hot.seed_skips));
     json.Add("StreamEngine/hot/index/shards:1",
-             static_cast<double>(hot_events.size()) / hot_rr.events_per_sec,
-             {{"events_per_sec", hot_rr.events_per_sec},
-              {"alerts", static_cast<double>(hot_rr.alerts)}});
-    for (int shards : {1, 2, 4}) {
-      RunStats hot_eh = RunEngine(hot_queries, hot_events, window, true,
-                                  shards, {}, true, ShardingMode::kEntityHash);
-      std::printf("%8s %8s %8d %14.0f %10lld %12zu %10lld %12lld\n", "hot",
-                  "ehash", shards, hot_eh.events_per_sec,
-                  static_cast<long long>(hot_eh.alerts), hot_eh.peak_partials,
-                  static_cast<long long>(hot_eh.dropped),
-                  static_cast<long long>(hot_eh.seed_skips));
-      json.Add("StreamEngine/hot/ehash/shards:" + std::to_string(shards),
-               static_cast<double>(hot_events.size()) / hot_eh.events_per_sec,
-               {{"events_per_sec", hot_eh.events_per_sec},
-                {"shards", static_cast<double>(shards)},
-                {"alerts", static_cast<double>(hot_eh.alerts)},
-                {"handoffs", static_cast<double>(hot_eh.handoffs)},
-                {"routing_skew", hot_eh.routing_skew},
-                {"inbox_peak", static_cast<double>(hot_eh.inbox_peak)}});
-      if (hot_eh.alerts != hot_rr.alerts || hot_eh.dropped != hot_rr.dropped) {
-        std::fprintf(stderr,
-                     "error: hot-query determinism violated at shards=%d: "
-                     "alerts %lld vs %lld, dropped %lld vs %lld\n",
-                     shards, static_cast<long long>(hot_eh.alerts),
-                     static_cast<long long>(hot_rr.alerts),
-                     static_cast<long long>(hot_eh.dropped),
-                     static_cast<long long>(hot_rr.dropped));
-        ok = false;
-      }
-      if (shards > 1) {
-        std::printf("  (hot ehash shards=%d: routing_skew %.2f, handoffs "
-                    "%lld, inbox_peak %zu)\n",
-                    shards, hot_eh.routing_skew,
-                    static_cast<long long>(hot_eh.handoffs),
-                    hot_eh.inbox_peak);
-      }
-    }
+             static_cast<double>(hot_events.size()) / hot.events_per_sec,
+             {{"events_per_sec", hot.events_per_sec},
+              {"alerts", static_cast<double>(hot.alerts)}});
   }
   // Constrained comparison: the same event stream under queries whose
   // every transition carries a max-gap guard, executed with guard-driven
@@ -420,16 +350,15 @@ int main(int argc, char** argv) {
   // Steady-state dispatch allocations: with the double-buffered span
   // dispatch, feeding events through a warm engine whose only query
   // matches nothing must not allocate at all — no per-batch copies, no
-  // per-event scratch growth — on the inline (shards=1) paths of both
-  // sharding modes. A regression here (a reintroduced batch copy, a
-  // per-event vector) fails the bench, not just slows it.
+  // per-event scratch growth — on the inline (shards=1) path. A
+  // regression here (a reintroduced batch copy, a per-event vector) fails
+  // the bench, not just slows it.
   {
-    auto steady_allocs = [&](ShardingMode mode) {
+    const std::int64_t rr_allocs = [&] {
       StreamEngine::Options options;
       options.window = window;
       options.num_shards = 1;
       options.batch_size = 32;
-      options.sharding = mode;
       StreamEngine engine(options);
       // Labels absent from the stream: the seed-dispatch bitmap skips
       // every event, isolating the dispatch path itself.
@@ -445,26 +374,20 @@ int main(int argc, char** argv) {
       }
       engine.Flush(sink);
       return g_heap_allocs.load(std::memory_order_relaxed) - before;
-    };
-    const std::int64_t rr_allocs =
-        steady_allocs(ShardingMode::kQueryRoundRobin);
-    const std::int64_t eh_allocs = steady_allocs(ShardingMode::kEntityHash);
+    }();
     std::printf("  (steady-state dispatch allocations over %zu events: "
-                "%lld round-robin, %lld entity-hash)\n",
+                "%lld)\n",
                 events.size() - events.size() / 2,
-                static_cast<long long>(rr_allocs),
-                static_cast<long long>(eh_allocs));
-    if (rr_allocs != 0 || eh_allocs != 0) {
+                static_cast<long long>(rr_allocs));
+    if (rr_allocs != 0) {
       std::fprintf(stderr,
                    "error: batch dispatch allocated in steady state "
-                   "(round-robin %lld, entity-hash %lld; expected 0)\n",
-                   static_cast<long long>(rr_allocs),
-                   static_cast<long long>(eh_allocs));
+                   "(%lld; expected 0)\n",
+                   static_cast<long long>(rr_allocs));
       ok = false;
     }
     json.Add("StreamEngine/dispatch_steady_allocs", 0.0,
-             {{"rr_allocs", static_cast<double>(rr_allocs)},
-              {"ehash_allocs", static_cast<double>(eh_allocs)}});
+             {{"rr_allocs", static_cast<double>(rr_allocs)}});
   }
 
   std::printf("(events=%lld window=%lld entities=%lld; scan = wildcard "

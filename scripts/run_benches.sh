@@ -10,12 +10,9 @@
 #                with the fixed root_batch) so multicore baselines are only
 #                ever compared against equal-parallelism baselines.
 #   --shards=N   extra shard count for the stream-engine rows (default 0 =
-#                just the built-in 1/2/4 sweep, run per sharding mode:
-#                round-robin `index` rows and entity-hash `ehash` rows,
-#                each cross-checked against the serial oracle); recorded
-#                per row in the BENCH_stream_monitor JSON payload along
-#                with the entity-hash routing counters (routing_skew,
-#                handoffs, inbox_peak).
+#                just the built-in 1/2/4 sweep of `index` rows, each
+#                cross-checked against the serial oracle); recorded per row
+#                in the BENCH_stream_monitor JSON payload.
 #   --max_gap=N  max-gap guard for the constrained stream-engine rows
 #                (default 40): every query gets a per-transition max_gap=N
 #                guard and runs once with guard-driven per-partial expiry

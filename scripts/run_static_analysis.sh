@@ -42,7 +42,6 @@ Modes:
   --seeded-defect[=WHICH]  Prove the wall bites: seed a historical or
                            synthetic defect and require the gate to
                            REJECT it. WHICH is one of
-                             spsc-deadlock   (gate 2, needs clang++)
                              nested-join     (gate 2, needs clang++)
                              determinism     (gate 4)
                              layering        (gate 4)
@@ -109,7 +108,7 @@ if [[ "${MODE}" == "audit" ]]; then
 fi
 
 # --- Seeded-defect mode: every gate must bite ---------------------------
-# Each variant re-introduces a defect (two historical deadlocks for the
+# Each variant re-introduces a defect (a historical deadlock for the
 # thread-safety wall, one synthetic violation per tgm-lint check) and
 # requires the gate to REJECT it — proving enforcement, not just that
 # clean code passes.
@@ -119,53 +118,6 @@ if [[ "${MODE}" == "seed" ]]; then
 
   want() { [[ "${SEED_WHICH}" == "all" || "${SEED_WHICH}" == "$1" ]]; }
   RAN_ANY=0
-
-  if want spsc-deadlock; then
-    RAN_ANY=1
-    if [[ ${HAVE_CLANGXX} -eq 0 ]]; then
-      skip_or_fail "seed spsc-deadlock" "${CLANGXX}"
-    else
-      echo "== Seeded defect [spsc-deadlock]: SpscQueue slow-path re-lock"
-      mkdir -p "${WORK}/exec"
-      # Swap the non-notifying ring op back to the notifying TryPush inside
-      # Push()'s mu_-held wait loop — the exact shape of the PR-7 self
-      # deadlock (TryPush locks mu_ via NotifyConsumerIfParked).
-      sed 's/while (!TryPushNoNotify(v)) {/while (!TryPush(v)) {/' \
-        src/exec/spsc_queue.h > "${WORK}/exec/spsc_queue.h"
-      cmp -s src/exec/spsc_queue.h "${WORK}/exec/spsc_queue.h" \
-        && fail "seed pattern did not match spsc_queue.h — update the sed in $0"
-      cat > "${WORK}/seeded_tu.cc" <<'EOF'
-// Instantiates the blocking slow paths: Clang's thread-safety analysis
-// checks templates at instantiation, so without this TU the seeded
-// defect would go unnoticed.
-#include "exec/spsc_queue.h"
-void SeededDefectInstantiation() {
-  tgm::SpscQueue<int> q(8);
-  q.Push(1);
-  int out = 0;
-  q.PopBlocking(&out);
-}
-EOF
-      set +e
-      OUT="$("${CLANGXX}" -std=c++20 -fsyntax-only \
-          -Wthread-safety -Werror=thread-safety \
-          -I "${WORK}" -I src "${WORK}/seeded_tu.cc" 2>&1)"
-      STATUS=$?
-      set -e
-      [[ ${STATUS} -ne 0 ]] \
-        || fail "seeded deadlock COMPILED — the thread-safety wall is not biting"
-      echo "${OUT}" | grep -q 'thread-safety' \
-        || fail "seeded build failed for the wrong reason: ${OUT}"
-      echo "   OK: seeded deadlock rejected by -Werror=thread-safety:"
-      echo "${OUT}" | grep 'requires negative capability\|acquiring mutex\|thread-safety' \
-        | head -3 | sed 's/^/   | /'
-      # Sanity: the pristine header must still compile with the same TU.
-      "${CLANGXX}" -std=c++20 -fsyntax-only -Wthread-safety \
-          -Werror=thread-safety -I src "${WORK}/seeded_tu.cc" \
-        || fail "pristine spsc_queue.h does not pass the wall"
-      echo "   OK: pristine header passes the same check"
-    fi
-  fi
 
   if want nested-join; then
     RAN_ANY=1

@@ -8,7 +8,6 @@
 
 #include "api/status.h"
 #include "mining/miner_config.h"
-#include "query/stream/engine.h"
 #include "temporal/constraints.h"
 #include "temporal/pattern.h"
 
@@ -119,11 +118,6 @@ struct SessionOptions {
   /// Worker shards of the online engine (Watch); <= 0 = all hardware
   /// threads.
   int watch_shards = 1;
-  /// How the online engine splits work across shards: round-robin query
-  /// partitioning (default) or entity-hash data partitioning, which lets
-  /// a single hot watch span every shard. The alert stream is
-  /// bit-identical either way (see ShardingMode).
-  ShardingMode watch_sharding = ShardingMode::kQueryRoundRobin;
   /// Events per engine fan-out batch (>= 1).
   std::size_t watch_batch_size = 1;
   /// Per-query live-partial cap of the online engine. Defaults to
@@ -151,10 +145,6 @@ class SessionOptionsBuilder {
   }
   SessionOptionsBuilder& WatchShards(int v) {
     options_.watch_shards = v;
-    return *this;
-  }
-  SessionOptionsBuilder& WatchSharding(ShardingMode v) {
-    options_.watch_sharding = v;
     return *this;
   }
   SessionOptionsBuilder& WatchBatchSize(std::size_t v) {

@@ -403,8 +403,6 @@ StatusOr<std::vector<Interval>> Session::Watch(
   engine_options.window = query.window();
   engine_options.num_shards =
       options.shards != 0 ? options.shards : options_.watch_shards;
-  engine_options.sharding =
-      options.sharding.value_or(options_.watch_sharding);
   engine_options.batch_size = options.batch_size != 0
                                   ? options.batch_size
                                   : options_.watch_batch_size;
@@ -452,7 +450,6 @@ Status Session::EnsureEngine() {
   // artifact's window); the engine-level default is never used.
   engine_options.window = 0;
   engine_options.num_shards = options_.watch_shards;
-  engine_options.sharding = options_.watch_sharding;
   engine_options.batch_size = options_.watch_batch_size;
   engine_options.max_partials_per_query = options_.watch_max_partials;
   engine_ = std::make_unique<StreamEngine>(engine_options);

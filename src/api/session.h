@@ -8,7 +8,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -65,9 +64,6 @@ struct MineSpec {
 /// unset fields fall back to the SessionOptions defaults.
 struct WatchOptions {
   int shards = 0;
-  /// Sharding mode override (see ShardingMode); unset uses
-  /// SessionOptions::watch_sharding.
-  std::optional<ShardingMode> sharding;
   std::size_t batch_size = 0;
   std::size_t max_partials = 0;
 };

@@ -8,7 +8,7 @@
 /// \file invariants.h
 /// Structural invariant validation hooks.
 ///
-/// Validators (`PartialTable::CheckInvariants`, `SpscQueue::CheckInvariants`,
+/// Validators (`PartialTable::CheckInvariants`,
 /// `StreamEngine::CheckInvariants`) are ordinary methods that return an
 /// empty string when every invariant holds and a description of the first
 /// violated invariant otherwise. They compile in every build so tests can

@@ -91,13 +91,13 @@ class CondVar {
 
 /// A zero-size capability for thread-confined state: data that no lock
 /// protects because exactly one thread may touch it at a time — a stream
-/// shard's tables (owned by its worker; the engine may touch them only
-/// after quiescing), the entity-hash sequencer's central control state.
+/// shard's tables (owned by the worker running its batch; the engine may
+/// touch them only between batches), the stream engine's batching state.
 ///
 /// Acquiring a role is free and purely lexical: RoleGuard emits no code;
 /// the value is that every function touching confined state is annotated
 /// TGM_REQUIRES(role) and every entry point that legitimately assumes
-/// ownership (the worker loop; the engine after QuiesceShards) must say so
+/// ownership (the batch's worker; the engine between batches) must say so
 /// with a visible RoleGuard, so an accidental cross-thread access no
 /// longer type-checks instead of becoming a data race.
 class TGM_CAPABILITY("role") ThreadRole {

@@ -6,7 +6,7 @@
 namespace tgm {
 namespace {
 
-/// Bounded parking interval for join waits, matching the SpscQueue
+/// Bounded parking interval for join waits, matching the idle-worker
 /// discipline: a wakeup lost to the sleeper-probe race costs at most one
 /// timeout, never a hang. Joins are latency-critical (a helping thread
 /// re-probes the backlog on every wake), so their bound stays tight.

@@ -173,9 +173,9 @@ class TaskGroup {
 /// Blocked joins help instead of sleeping (TaskGroup::Wait), so tasks may
 /// freely schedule and join subtasks on the same scheduler; the old
 /// ThreadPool's "tasks must not block on other tasks" restriction is
-/// lifted. Idle workers park on a condvar with the bounded-timeout
-/// discipline of SpscQueue: wakeups lost to the sleeper-count race cost at
-/// most one timeout period, never a hang.
+/// lifted. Idle workers park on a condvar with a bounded timeout: wakeups
+/// lost to the sleeper-count race cost at most one timeout period, never
+/// a hang.
 ///
 /// The scheduler provides mechanism only; determinism is the callers'
 /// contract (per-slot results merged in fixed order — see ParallelFor and

@@ -1,44 +1,11 @@
 #include "query/stream/engine.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "base/invariants.h"
 #include "exec/parallel_for.h"
 
 namespace tgm {
-
-namespace {
-
-/// Read access to a priority_queue's underlying container (protected
-/// member `c`) — same well-defined pointer-to-member idiom as
-/// partial_table.cc, here for auditing the engine's central age heaps.
-template <typename T, typename C, typename Cmp>
-const C& HeapContainer(const std::priority_queue<T, C, Cmp>& q) {
-  struct Access : std::priority_queue<T, C, Cmp> {
-    static const C& Get(const std::priority_queue<T, C, Cmp>& queue) {
-      return queue.*&Access::c;
-    }
-  };
-  return Access::Get(q);
-}
-
-/// splitmix64 finalizer: entity ids are often dense small integers, so a
-/// plain modulo would alias adjacent ids to adjacent shards; the mix
-/// spreads any id distribution.
-std::uint64_t MixEntity(std::int64_t entity) {
-  auto x = static_cast<std::uint64_t>(entity);
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
-constexpr std::size_t kQueueCapacity = 1024;
-
-}  // namespace
 
 StreamEngine::StreamEngine(const Options& options) : options_(options) {
   RoleGuard seq(sequencer_role_);
@@ -50,62 +17,12 @@ StreamEngine::StreamEngine(const Options& options) : options_(options) {
   limits_.entity_index = options_.entity_index;
   limits_.guard_expiry = options_.guard_expiry;
   const auto shards = static_cast<std::size_t>(num_shards_);
-  if (options_.sharding == ShardingMode::kQueryRoundRobin) {
-    shards_.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) shards_.emplace_back(limits_);
-    shard_alerts_.resize(shards);
-    if (shards > 1) pool_ = std::make_unique<StealScheduler>(num_shards_ - 1);
-  } else {
-    workers_.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      workers_.push_back(std::make_unique<EntityWorker>(limits_));
-    }
-    if (shards > 1) {
-      // One drainer thread per shard, fed through an SPSC inbox. With one
-      // shard everything runs inline on the caller — no queues, no
-      // threads, so shards=1 has zero overhead over a single table.
-      for (std::size_t s = 0; s < shards; ++s) {
-        EntityWorker* w = workers_[s].get();
-        w->inbox = std::make_unique<SpscQueue<EntityShardOp>>(kQueueCapacity);
-        w->outbox =
-            std::make_unique<SpscQueue<EntityShardResult>>(kQueueCapacity);
-        w->thread = std::thread([this, w] {
-          // The worker owns its shard for the thread's whole lifetime —
-          // the RoleGuard is what lets it call Execute; conversely the
-          // lambda holds no sequencer capability, so reaching into the
-          // engine's central state here would not compile on Clang.
-          RoleGuard shard_owner(w->shard.role());
-          EntityShardOp op;
-          std::vector<EntityShardResult> results;
-          for (;;) {
-            w->inbox->PopBlocking(&op);
-            if (op.kind == EntityShardOp::Kind::kStop) return;
-            results.clear();
-            w->shard.Execute(op, &results);
-            for (EntityShardResult& r : results) {
-              w->outbox->Push(std::move(r));
-              results_ready_.Notify();
-            }
-          }
-        });
-      }
-    }
-  }
+  shards_.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) shards_.emplace_back(limits_);
+  shard_alerts_.resize(shards);
+  if (shards > 1) pool_ = std::make_unique<StealScheduler>(num_shards_ - 1);
   batch_.reserve(options_.batch_size);
   active_.reserve(options_.batch_size);
-}
-
-StreamEngine::~StreamEngine() {
-  RoleGuard seq(sequencer_role_);
-  for (std::size_t s = 0; s < workers_.size(); ++s) {
-    if (!workers_[s]->thread.joinable()) continue;
-    EntityShardOp op;
-    op.kind = EntityShardOp::Kind::kStop;
-    PushOp(s, std::move(op));
-  }
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) w->thread.join();
-  }
 }
 
 std::size_t StreamEngine::AddQuery(const Pattern& query) {
@@ -125,28 +42,11 @@ std::size_t StreamEngine::AddQuery(const Pattern& query, Timestamp window,
   // set than their arrival order implies.
   TGM_CHECK(batch_.empty());
   const std::size_t index = query_count_++;
-  if (options_.sharding == ShardingMode::kQueryRoundRobin) {
-    // No batch is in flight (checked above), so the engine thread owns
-    // the shard.
-    StreamShard& shard = shards_[index % shards_.size()];
-    RoleGuard owner(shard.role());
-    shard.AddQuery(index, query, window, constraints);
-    return index;
-  }
-  // In-flight inserts/erases of earlier batches must land before the
-  // engine touches shard state directly.
-  QuiesceShards();
-  auto plan = std::make_shared<const CompiledQueryPlan>(query, constraints);
-  QueryControl qc;
-  qc.plan = plan;
-  qc.window = plan->EffectiveWindow(window);
-  const Timestamp effective_window = qc.window;
-  controls_.push_back(std::move(qc));
-  for (auto& w : workers_) {
-    RoleGuard owner(w->shard.role());
-    w->shard.AddQuery(index, plan, effective_window);
-  }
-  dispatch_dirty_ = true;
+  // No batch is in flight (checked above), so the engine thread owns the
+  // shard.
+  StreamShard& shard = shards_[index % shards_.size()];
+  RoleGuard owner(shard.role());
+  shard.AddQuery(index, query, window, constraints);
   return index;
 }
 
@@ -177,25 +77,10 @@ void StreamEngine::ProcessBatch(const AlertSink& sink) {
   // Double buffer: the batch being processed (active_) and the batch
   // being filled (batch_) are distinct vectors, swapped per batch. Shards
   // receive span views into active_ — no copies, and the capacity of both
-  // sides persists, so steady state allocates nothing. In entity-hash
-  // mode probe ops carry pointers into active_, which stay valid until
-  // their results have been collected (before this function returns).
+  // sides persists, so steady state allocates nothing.
   std::swap(batch_, active_);
   batch_.clear();
   const std::span<const StreamEvent> batch{active_.data(), active_.size()};
-  if (options_.sharding == ShardingMode::kQueryRoundRobin) {
-    ProcessBatchRoundRobin(batch, sink);
-  } else {
-    ProcessBatchEntityHash(batch, sink);
-  }
-  // Debug builds (-DTGMINER_CHECK_INVARIANTS=ON) audit the whole engine at
-  // every batch boundary; compiled out otherwise.
-  TGM_VALIDATE_INVARIANTS("StreamEngine::ProcessBatch",
-                          CheckInvariantsInternal());
-}
-
-void StreamEngine::ProcessBatchRoundRobin(std::span<const StreamEvent> batch,
-                                          const AlertSink& sink) {
   // Broadcast the batch: shard count is below ParallelFor's oversubscribed
   // chunk cap, so each shard is its own stealable task and a shard that
   // finishes early picks up a slower sibling's — while the index-to-shard
@@ -214,408 +99,59 @@ void StreamEngine::ProcessBatchRoundRobin(std::span<const StreamEvent> batch,
   for (const std::vector<ShardAlert>& alerts : shard_alerts_) {
     merged_.insert(merged_.end(), alerts.begin(), alerts.end());
   }
-  EmitMerged(sink);
-}
-
-void StreamEngine::ProcessBatchEntityHash(std::span<const StreamEvent> batch,
-                                          const AlertSink& sink) {
-  if (dispatch_dirty_) {
-    seed_dispatch_.Reset(query_count_);
-    for (std::size_t q = 0; q < query_count_; ++q) {
-      seed_dispatch_.Add(q, *controls_[q].plan);
-    }
-    dispatch_dirty_ = false;
-  }
-  if (exts_by_query_.size() < query_count_) {
-    exts_by_query_.resize(query_count_);
-  }
-  merged_.clear();
-  for (std::size_t ei = 0; ei < batch.size(); ++ei) {
-    const StreamEvent& event = batch[ei];
-    // Which queries advance on this event — the same per-query decision
-    // the round-robin shards make (live partials, or the seed-dispatch
-    // bitmaps admit a seed). Skipped queries skip expiry and dedup
-    // pruning too, exactly like a skipped QueryRuntime::Advance.
-    const SeedDispatchIndex::Rows rows = seed_dispatch_.Lookup(event);
-    advancing_.clear();
-    for (std::size_t q = 0; q < query_count_; ++q) {
-      QueryControl& qc = controls_[q];
-      if (qc.live == 0 && !SeedDispatchIndex::Test(rows, q)) {
-        ++qc.seed_skips;
-        continue;
-      }
-      advancing_.push_back(q);
-    }
-    // Phase 1 — erases (expiry) then probes, per advancing query. FIFO
-    // inboxes order each shard's erases before its probes of this event,
-    // and everything after the inserts of the previous event.
-    TGM_DCHECK(outstanding_probes_ == 0);
-    for (const std::size_t q : advancing_) {
-      QueryControl& qc = controls_[q];
-      while (!qc.by_age.empty() && qc.by_age.top().expiry < event.ts) {
-        EraseTop(q, qc);
-      }
-      if (qc.window > 0) {
-        // Emitted-interval dedup entries older than the effective window
-        // can never be duplicated again; the set is ordered by begin, so
-        // they form its prefix.
-        while (!qc.emitted.empty() &&
-               event.ts - qc.emitted.begin()->begin > qc.window) {
-          qc.emitted.erase(qc.emitted.begin());
-        }
-      }
-      if (qc.live > 0) SendProbes(q, qc, ei, event);
-    }
-    // Phase 2 — collect every probe result of this event (the engine
-    // keeps draining while shards work; nothing barriers the shards).
-    WaitForProbes();
-    // Phase 3 — sequencing: dedup completions, route and insert
-    // extensions (candidate order) then the seed, applying backpressure —
-    // the exact QueryRuntime::Advance tail, just with the table work
-    // remoted to the owning shards.
-    for (const std::size_t q : advancing_) {
-      QueryControl& qc = controls_[q];
-      std::vector<CollectedExt>& exts = exts_by_query_[q];
-      // Reassemble the single-table candidate order [src bucket, dst
-      // bucket, wildcard]: stable within a tag because exactly one shard
-      // produces each tag and its FIFO outbox preserves bucket order.
-      std::stable_sort(exts.begin(), exts.end(),
-                       [](const CollectedExt& a, const CollectedExt& b) {
-                         return a.ext.tag < b.ext.tag;
-                       });
-      completions_scratch_.clear();
-      auto emit = [&](Interval interval) {
-        if (qc.emitted.insert(interval).second) {
-          completions_scratch_.push_back(interval);
-          ++qc.alerts;
-        }
-      };
-      for (CollectedExt& ce : exts) {
-        if (ce.ext.complete) {
-          emit(ce.ext.interval);
-          continue;
-        }
-        SendInsert(q, qc, ce.ext.next_edge, ce.ext.first_ts, ce.ext.last_ts,
-                   ce.ext.binding.view(), static_cast<int>(ce.origin));
-      }
-      exts.clear();
-      // Seed last — the same pending order as QueryRuntime::Advance.
-      if (qc.plan->SeedMatches(event)) {
-        if (qc.plan->edge_count() == 1) {
-          emit(Interval{event.ts, event.ts});
-        } else {
-          FillExtendedBinding(*qc.plan, 0, {}, event,
-                              seed_binding_.Resize(qc.plan->node_count()));
-          SendInsert(q, qc, 1, event.ts, event.ts, seed_binding_.view(),
-                     /*origin=*/-1);
-        }
-      }
-      std::sort(completions_scratch_.begin(), completions_scratch_.end());
-      for (const Interval& interval : completions_scratch_) {
-        merged_.push_back(
-            ShardAlert{static_cast<std::uint32_t>(ei), q, interval});
-      }
-    }
-  }
-  EmitMerged(sink);
-}
-
-void StreamEngine::EmitMerged(const AlertSink& sink) {
   std::sort(merged_.begin(), merged_.end());
   for (const ShardAlert& alert : merged_) {
     sink(StreamAlert{alert.query_index, alert.interval});
   }
   merged_.clear();
-}
-
-std::size_t StreamEngine::ShardOf(std::int64_t entity) const {
-  return static_cast<std::size_t>(MixEntity(entity) % workers_.size());
-}
-
-void StreamEngine::PushOp(std::size_t shard, EntityShardOp&& op) {
-  EntityWorker& w = *workers_[shard];
-  if (!w.thread.joinable()) {
-    // Inline (shards=1) execution: same ops, same order, no queues. No
-    // worker thread exists, so the sequencer owns the shard outright.
-    RoleGuard owner(w.shard.role());
-    inline_results_.clear();
-    w.shard.Execute(op, &inline_results_);
-    for (EntityShardResult& r : inline_results_) HandleResult(shard, r);
-    return;
-  }
-  // Never block without draining: a worker stuck pushing into a full
-  // outbox must be able to make progress for its inbox to empty.
-  while (!w.inbox->TryPush(op)) {
-    if (!DrainOutboxes()) std::this_thread::yield();
-  }
-  const std::size_t depth = w.inbox->SizeApprox();
-  if (depth > w.inbox_peak) w.inbox_peak = depth;
-}
-
-void StreamEngine::HandleResult(std::size_t shard, EntityShardResult& result) {
-  if (result.kind == EntityShardResult::Kind::kFlushAck) {
-    ++flush_acks_;
-    return;
-  }
-  std::vector<CollectedExt>& dst = exts_by_query_[result.query];
-  for (ProbeExtension& ext : result.exts) {
-    dst.push_back(CollectedExt{std::move(ext), static_cast<std::uint32_t>(shard)});
-  }
-  TGM_DCHECK(outstanding_probes_ > 0);
-  --outstanding_probes_;
-}
-
-bool StreamEngine::DrainOutboxes() {
-  bool any = false;
-  EntityShardResult result;
-  for (std::size_t s = 0; s < workers_.size(); ++s) {
-    EntityWorker& w = *workers_[s];
-    if (!w.outbox) continue;
-    while (w.outbox->TryPop(&result)) {
-      any = true;
-      HandleResult(s, result);
-    }
-  }
-  return any;
-}
-
-void StreamEngine::WaitForProbes() {
-  while (outstanding_probes_ > 0) {
-    const std::uint64_t epoch = results_ready_.Epoch();
-    if (DrainOutboxes()) continue;
-    if (outstanding_probes_ == 0) break;
-    results_ready_.Wait(epoch);
-  }
-}
-
-void StreamEngine::EraseTop(std::size_t query, QueryControl& qc) {
-  const AgeEntry top = qc.by_age.top();
-  qc.by_age.pop();
-  --qc.live;
-  if (top.wildcard) --qc.wildcard_live;
-  EntityShardOp op;
-  op.kind = EntityShardOp::Kind::kErase;
-  op.query = static_cast<std::uint32_t>(query);
-  op.seq = top.seq;
-  ++erases_sent_;
-  PushOp(top.shard, std::move(op));
-}
-
-void StreamEngine::SendProbes(std::size_t query, QueryControl& qc,
-                              std::size_t event_index,
-                              const StreamEvent& event) {
-  const std::size_t home = query % workers_.size();
-  // Up to three targets: the shards owning the src and dst entity buckets
-  // and, if any wildcard partials exist, the query's home shard. Masks
-  // merge when targets coincide; the dst side is skipped entirely for a
-  // self-loop event (same bucket as src — the routing-layer probe-dedup).
-  std::size_t target_shard[3];
-  std::uint8_t target_mask[3];
-  std::size_t targets = 0;
-  auto add = [&](std::size_t shard, std::uint8_t mask) {
-    for (std::size_t i = 0; i < targets; ++i) {
-      if (target_shard[i] == shard) {
-        target_mask[i] |= mask;
-        return;
-      }
-    }
-    target_shard[targets] = shard;
-    target_mask[targets] = mask;
-    ++targets;
-  };
-  if (limits_.entity_index) {
-    add(ShardOf(event.src_entity), kProbeSrc);
-    if (event.dst_entity != event.src_entity) {
-      add(ShardOf(event.dst_entity), kProbeDst);
-    }
-    if (qc.wildcard_live > 0) add(home, kProbeWildcard);
-  } else {
-    // Full-scan mode files everything under the wildcard bucket, which
-    // lives on the home shard.
-    add(home, kProbeWildcard);
-  }
-  for (std::size_t i = 0; i < targets; ++i) {
-    EntityShardOp op;
-    op.kind = EntityShardOp::Kind::kProbe;
-    op.query = static_cast<std::uint32_t>(query);
-    op.event = &event;
-    op.event_index = static_cast<std::uint32_t>(event_index);
-    op.probe_mask = target_mask[i];
-    ++outstanding_probes_;
-    ++workers_[target_shard[i]]->events_routed;
-    PushOp(target_shard[i], std::move(op));
-  }
-}
-
-void StreamEngine::SendInsert(std::size_t query, QueryControl& qc,
-                              std::uint32_t next_edge, Timestamp first_ts,
-                              Timestamp last_ts,
-                              std::span<const std::int64_t> binding,
-                              int origin) {
-  if (qc.live >= limits_.max_partials) {
-    // Backpressure: make room by evicting the partial closest to death.
-    // With a zero cap nothing can be stored at all, so the newcomer
-    // itself is the drop.
-    ++qc.dropped;
-    if (limits_.max_partials == 0) return;
-    EraseTop(query, qc);
-  }
-  PartialRoute route = limits_.entity_index
-                           ? RouteForNextEdge(*qc.plan, next_edge, binding)
-                           : PartialRoute{};
-  const bool wildcard = route.role == PartialTable::Role::kWildcard;
-  const std::size_t target = wildcard ? query % workers_.size()
-                                      : ShardOf(route.key);
-  EntityShardOp op;
-  op.kind = EntityShardOp::Kind::kInsert;
-  op.query = static_cast<std::uint32_t>(query);
-  op.binding.Assign(binding);
-  op.next_edge = next_edge;
-  op.first_ts = first_ts;
-  op.last_ts = last_ts;
-  op.role = route.role;
-  op.key = route.key;
-  op.seq = qc.next_seq++;
-  const Timestamp expiry =
-      ComputePartialExpiry(*qc.plan, qc.window, limits_.guard_expiry,
-                           next_edge, first_ts, last_ts);
-  qc.by_age.push(AgeEntry{expiry, first_ts, op.seq,
-                          static_cast<std::uint32_t>(target), wildcard});
-  ++qc.live;
-  if (qc.live > qc.peak) qc.peak = qc.live;
-  if (wildcard) ++qc.wildcard_live;
-  if (origin >= 0 && static_cast<std::size_t>(origin) != target) {
-    // The partial was produced by a probe on another shard and its next
-    // required entity hashes here: a cross-shard handoff.
-    ++workers_[target]->handoffs_in;
-  }
-  ++inserts_sent_;
-  PushOp(target, std::move(op));
-}
-
-void StreamEngine::QuiesceShards() {
-  bool threaded = false;
-  for (const auto& w : workers_) {
-    if (w->thread.joinable()) threaded = true;
-  }
-  if (!threaded) return;
-  flush_acks_ = 0;
-  for (std::size_t s = 0; s < workers_.size(); ++s) {
-    EntityShardOp op;
-    op.kind = EntityShardOp::Kind::kFlush;
-    op.token = ++flush_token_;
-    PushOp(s, std::move(op));
-  }
-  while (flush_acks_ < workers_.size()) {
-    const std::uint64_t epoch = results_ready_.Epoch();
-    if (DrainOutboxes()) continue;
-    if (flush_acks_ >= workers_.size()) break;
-    results_ready_.Wait(epoch);
-  }
+  // Debug builds (-DTGMINER_CHECK_INVARIANTS=ON) audit the whole engine at
+  // every batch boundary; compiled out otherwise.
+  TGM_VALIDATE_INVARIANTS("StreamEngine::ProcessBatch",
+                          CheckInvariantsInternal());
 }
 
 std::size_t StreamEngine::PartialCount() const {
   RoleGuard seq(sequencer_role_);
-  if (options_.sharding == ShardingMode::kQueryRoundRobin) {
-    std::size_t total = 0;
-    for (const StreamShard& shard : shards_) {
-      // No batch is in flight (external synchronization), so the engine
-      // thread owns every shard.
-      RoleGuard owner(shard.role());
-      total += shard.PartialCount();
-    }
-    return total;
-  }
   std::size_t total = 0;
-  for (const QueryControl& qc : controls_) total += qc.live;
+  for (const StreamShard& shard : shards_) {
+    // No batch is in flight (external synchronization), so the engine
+    // thread owns every shard.
+    RoleGuard owner(shard.role());
+    total += shard.PartialCount();
+  }
   return total;
 }
 
 std::int64_t StreamEngine::dropped_partials() const {
   RoleGuard seq(sequencer_role_);
-  if (options_.sharding == ShardingMode::kQueryRoundRobin) {
-    std::int64_t total = 0;
-    for (const StreamShard& shard : shards_) {
-      RoleGuard owner(shard.role());
-      total += shard.dropped_partials();
-    }
-    return total;
-  }
   std::int64_t total = 0;
-  for (const QueryControl& qc : controls_) total += qc.dropped;
+  for (const StreamShard& shard : shards_) {
+    RoleGuard owner(shard.role());
+    total += shard.dropped_partials();
+  }
   return total;
 }
 
 EngineStats StreamEngine::Stats() const {
-  // Logically const but written through `self`: the entity-hash branch
-  // quiesces the shards (drains already-issued work) before reading their
-  // tables, and the capability analysis needs one consistent object
-  // expression for the sequencer role it claims here.
-  StreamEngine* self = const_cast<StreamEngine*>(this);
-  RoleGuard seq(self->sequencer_role_);
+  RoleGuard seq(sequencer_role_);
   EngineStats stats;
-  stats.out_of_order_events = self->out_of_order_events_;
-  if (self->options_.sharding == ShardingMode::kQueryRoundRobin) {
-    stats.shard_events.reserve(self->shards_.size());
-    for (std::size_t s = 0; s < self->shards_.size(); ++s) {
-      const StreamShard& shard = self->shards_[s];
-      RoleGuard owner(shard.role());
-      stats.shard_events.push_back(shard.events_processed());
-      for (const QueryRuntime& query : shard.queries()) {
-        EngineQueryStats row;
-        row.query_index = query.global_index();
-        row.shard = s;
-        row.live_partials = query.table().live();
-        row.peak_partials = query.table().peak();
-        row.index_buckets = query.table().bucket_count();
-        row.wildcard_partials = query.table().wildcard_size();
-        row.dropped_partials = query.dropped_partials();
-        row.alerts = query.alerts();
-        row.seed_skips = query.seed_skips();
-        stats.queries.push_back(row);
-        stats.live_partials += row.live_partials;
-        stats.dropped_partials += row.dropped_partials;
-        stats.alerts += row.alerts;
-        stats.seed_skips += row.seed_skips;
-      }
-    }
-    std::sort(stats.queries.begin(), stats.queries.end(),
-              [](const EngineQueryStats& a, const EngineQueryStats& b) {
-                return a.query_index < b.query_index;
-              });
-  } else {
-    // Quiescing establishes that the engine may read shard tables
-    // directly (every issued op has landed, workers parked on their
-    // inboxes), which is what makes the per-worker RoleGuard claims
-    // below legitimate.
-    self->QuiesceShards();
-    for (std::size_t s = 0; s < self->workers_.size(); ++s) {
-      const EntityWorker& w = *self->workers_[s];
-      EngineShardStats row;
-      row.shard = s;
-      row.inbox_depth = w.inbox ? w.inbox->SizeApprox() : 0;
-      row.inbox_peak = w.inbox_peak;
-      row.events_routed = w.events_routed;
-      row.handoffs_in = w.handoffs_in;
-      stats.shards.push_back(row);
-      stats.shard_events.push_back(w.events_routed);
-      stats.handoffs += w.handoffs_in;
-    }
-    for (std::size_t q = 0; q < self->controls_.size(); ++q) {
-      const QueryControl& qc = self->controls_[q];
+  stats.out_of_order_events = out_of_order_events_;
+  stats.shard_events.reserve(shards_.size());
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const StreamShard& shard = shards_[s];
+    RoleGuard owner(shard.role());
+    stats.shard_events.push_back(shard.events_processed());
+    for (const QueryRuntime& query : shard.queries()) {
       EngineQueryStats row;
-      row.query_index = q;
-      row.shard = q % self->workers_.size();
-      row.live_partials = qc.live;
-      row.peak_partials = qc.peak;
-      for (const auto& w : self->workers_) {
-        RoleGuard owner(w->shard.role());
-        row.index_buckets += w->shard.table(q).bucket_count();
-        row.wildcard_partials += w->shard.table(q).wildcard_size();
-      }
-      row.dropped_partials = qc.dropped;
-      row.alerts = qc.alerts;
-      row.seed_skips = qc.seed_skips;
+      row.query_index = query.global_index();
+      row.shard = s;
+      row.live_partials = query.table().live();
+      row.peak_partials = query.table().peak();
+      row.index_buckets = query.table().bucket_count();
+      row.wildcard_partials = query.table().wildcard_size();
+      row.dropped_partials = query.dropped_partials();
+      row.alerts = query.alerts();
+      row.seed_skips = query.seed_skips();
       stats.queries.push_back(row);
       stats.live_partials += row.live_partials;
       stats.dropped_partials += row.dropped_partials;
@@ -623,17 +159,10 @@ EngineStats StreamEngine::Stats() const {
       stats.seed_skips += row.seed_skips;
     }
   }
-  std::int64_t max_events = 0;
-  std::int64_t sum_events = 0;
-  for (const std::int64_t v : stats.shard_events) {
-    max_events = std::max(max_events, v);
-    sum_events += v;
-  }
-  if (sum_events > 0) {
-    const double mean = static_cast<double>(sum_events) /
-                        static_cast<double>(stats.shard_events.size());
-    stats.routing_skew = static_cast<double>(max_events) / mean;
-  }
+  std::sort(stats.queries.begin(), stats.queries.end(),
+            [](const EngineQueryStats& a, const EngineQueryStats& b) {
+              return a.query_index < b.query_index;
+            });
   return stats;
 }
 
@@ -643,114 +172,22 @@ std::string StreamEngine::CheckInvariants() {
 }
 
 std::string StreamEngine::CheckInvariantsInternal() {
-  if (options_.sharding == ShardingMode::kQueryRoundRobin) {
-    // Events are broadcast, so every shard must have processed the same
-    // count; each shard's tables must be structurally sound.
-    std::int64_t events = -1;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const StreamShard& shard = shards_[s];
-      RoleGuard owner(shard.role());
-      if (std::string err = shard.CheckInvariants(); !err.empty()) {
-        return "shard " + std::to_string(s) + ": " + err;
-      }
-      if (events < 0) {
-        events = shard.events_processed();
-      } else if (shard.events_processed() != events) {
-        return "shard " + std::to_string(s) + " processed " +
-               std::to_string(shard.events_processed()) +
-               " events, shard 0 processed " + std::to_string(events) +
-               " (batches are broadcast to every shard)";
-      }
-    }
-    return std::string();
-  }
-  // Entity-hash: land every in-flight op, then audit the sequencer's
-  // central accounting against what the shards actually did.
-  QuiesceShards();
-  std::int64_t inserts_executed = 0;
-  std::int64_t erases_executed = 0;
-  for (std::size_t s = 0; s < workers_.size(); ++s) {
-    const EntityWorker& w = *workers_[s];
-    RoleGuard owner(w.shard.role());
-    if (std::string err = w.shard.CheckInvariants(); !err.empty()) {
+  // Events are broadcast, so every shard must have processed the same
+  // count; each shard's tables must be structurally sound.
+  std::int64_t events = -1;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const StreamShard& shard = shards_[s];
+    RoleGuard owner(shard.role());
+    if (std::string err = shard.CheckInvariants(); !err.empty()) {
       return "shard " + std::to_string(s) + ": " + err;
     }
-    if (w.shard.probes_executed() != w.events_routed) {
-      return "shard " + std::to_string(s) + " executed " +
-             std::to_string(w.shard.probes_executed()) +
-             " probe ops, engine routed " + std::to_string(w.events_routed);
-    }
-    inserts_executed += w.shard.inserts_executed();
-    erases_executed += w.shard.erases_executed();
-  }
-  if (inserts_executed != inserts_sent_) {
-    return "engine sent " + std::to_string(inserts_sent_) +
-           " inserts, shards executed " + std::to_string(inserts_executed);
-  }
-  if (erases_executed != erases_sent_) {
-    return "engine sent " + std::to_string(erases_sent_) +
-           " erases, shards executed " + std::to_string(erases_executed);
-  }
-  for (std::size_t q = 0; q < controls_.size(); ++q) {
-    const QueryControl& qc = controls_[q];
-    const std::string prefix = "query " + std::to_string(q) + ": ";
-    std::size_t table_live = 0;
-    std::size_t table_wildcard = 0;
-    for (const auto& w : workers_) {
-      RoleGuard owner(w->shard.role());
-      table_live += w->shard.table(q).live();
-      table_wildcard += w->shard.table(q).wildcard_size();
-    }
-    if (qc.live != table_live) {
-      return prefix + "central live count " + std::to_string(qc.live) +
-             " != shard tables' total " + std::to_string(table_live);
-    }
-    if (qc.wildcard_live != table_wildcard) {
-      return prefix + "central wildcard count " +
-             std::to_string(qc.wildcard_live) + " != shard tables' total " +
-             std::to_string(table_wildcard);
-    }
-    if (qc.peak < qc.live) {
-      return prefix + "peak " + std::to_string(qc.peak) + " below live " +
-             std::to_string(qc.live);
-    }
-    // The central age heap must name exactly the live partials: one entry
-    // per engine seq, each resolvable on the shard the heap says owns it.
-    const auto& heap = HeapContainer(qc.by_age);
-    if (heap.size() != qc.live) {
-      return prefix + "age heap holds " + std::to_string(heap.size()) +
-             " entries, live count " + std::to_string(qc.live) +
-             " (the heap has no lazy deletion)";
-    }
-    std::unordered_set<std::uint64_t> seqs;
-    seqs.reserve(heap.size());
-    for (const AgeEntry& entry : heap) {
-      if (!seqs.insert(entry.seq).second) {
-        return prefix + "seq " + std::to_string(entry.seq) +
-               " appears twice in the age heap";
-      }
-      if (entry.seq >= qc.next_seq) {
-        return prefix + "age-heap seq " + std::to_string(entry.seq) +
-               " was never issued (next_seq " + std::to_string(qc.next_seq) +
-               ")";
-      }
-      if (entry.shard >= workers_.size()) {
-        return prefix + "age-heap entry names shard " +
-               std::to_string(entry.shard) + " of " +
-               std::to_string(workers_.size());
-      }
-      if (entry.wildcard && entry.shard != q % workers_.size()) {
-        return prefix + "wildcard partial filed on shard " +
-               std::to_string(entry.shard) + ", home shard is " +
-               std::to_string(q % workers_.size());
-      }
-      const EntityWorker& w = *workers_[entry.shard];
-      RoleGuard owner(w.shard.role());
-      if (!w.shard.table(q).HasSeq(entry.seq)) {
-        return prefix + "age-heap seq " + std::to_string(entry.seq) +
-               " missing from its shard " + std::to_string(entry.shard) +
-               " table";
-      }
+    if (events < 0) {
+      events = shard.events_processed();
+    } else if (shard.events_processed() != events) {
+      return "shard " + std::to_string(s) + " processed " +
+             std::to_string(shard.events_processed()) +
+             " events, shard 0 processed " + std::to_string(events) +
+             " (batches are broadcast to every shard)";
     }
   }
   return std::string();

@@ -4,50 +4,23 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "base/mutex.h"
-#include "exec/spsc_queue.h"
 #include "exec/work_stealing.h"
-#include "query/stream/entity_shard.h"
 #include "query/stream/shard.h"
 
 namespace tgm {
 
-/// How the engine splits work across its shards.
-enum class ShardingMode {
-  /// Queries are partitioned round-robin; every shard sees every event.
-  /// One query never spans shards, so a single hot watch caps at one
-  /// core; scaling comes from query count.
-  kQueryRoundRobin,
-  /// Partials are partitioned by `hash(entity) % num_shards` — the entity
-  /// their next transition requires, the same key PartialTable buckets
-  /// by — and events are routed to the shards owning their endpoints'
-  /// buckets through per-shard SPSC inboxes (shards drain continuously;
-  /// no per-batch broadcast+join). A single query's work spreads across
-  /// shards; partials whose next required entity hashes elsewhere are
-  /// handed off, and wildcard-bucket partials live on the query's home
-  /// shard (query % num_shards). The alert stream, drops, and per-query
-  /// stats are bit-identical to kQueryRoundRobin for every shard count
-  /// and batch size.
-  kEntityHash,
-};
-
 /// Per-query snapshot row of EngineStats.
 struct EngineQueryStats {
   std::size_t query_index = 0;
-  /// kQueryRoundRobin: the shard owning this query's whole state.
-  /// kEntityHash: the query's *home* shard (wildcard bucket location);
-  /// entity buckets are spread across all shards. Both modes report
-  /// query_index % num_shards.
+  /// The shard owning this query's whole state (query_index % num_shards).
   std::size_t shard = 0;
   std::size_t live_partials = 0;
   std::size_t peak_partials = 0;  ///< high-water mark of live partials
-  std::size_t index_buckets = 0;  ///< occupied entity buckets (all shards)
+  std::size_t index_buckets = 0;  ///< occupied entity buckets
   std::size_t wildcard_partials = 0;
   std::int64_t dropped_partials = 0;  ///< backpressure evictions/drops
   std::int64_t alerts = 0;
@@ -57,43 +30,22 @@ struct EngineQueryStats {
   std::int64_t seed_skips = 0;
 };
 
-/// Per-shard inbox/routing row of EngineStats (kEntityHash mode; empty in
-/// kQueryRoundRobin, which has no inboxes).
-struct EngineShardStats {
-  std::size_t shard = 0;
-  std::size_t inbox_depth = 0;  ///< ops queued right now
-  std::size_t inbox_peak = 0;   ///< high-water mark of queued ops
-  /// Probe ops routed to this shard (the per-shard share of event work —
-  /// the routing-skew numerator).
-  std::int64_t events_routed = 0;
-  /// Partials inserted here that were produced by a probe on a different
-  /// shard (cross-shard handoffs received).
-  std::int64_t handoffs_in = 0;
-};
-
 /// A point-in-time snapshot of engine health; take it between events (the
 /// engine is externally synchronized, see StreamEngine).
 struct EngineStats {
   std::vector<EngineQueryStats> queries;  ///< ascending query_index
-  /// kQueryRoundRobin: events processed per shard (every shard sees every
-  /// event). kEntityHash: probe ops routed per shard (== events_routed).
+  /// Events processed per shard (every shard sees every event).
   std::vector<std::int64_t> shard_events;
-  /// Per-shard inbox depth/peak + handoff rows (kEntityHash only).
-  std::vector<EngineShardStats> shards;
   std::int64_t out_of_order_events = 0;
   std::size_t live_partials = 0;
   std::int64_t dropped_partials = 0;
   std::int64_t alerts = 0;
   std::int64_t seed_skips = 0;  ///< total over queries (seed dispatch)
-  /// Total cross-shard partial handoffs (kEntityHash only).
-  std::int64_t handoffs = 0;
-  /// max/mean of shard_events (1.0 = perfectly balanced; 0 if no events).
-  double routing_skew = 0.0;
 };
 
 /// The online surveillance engine (Section 1: behaviour queries "applied
 /// on the real-time monitoring data for surveillance and policy compliance
-/// checking"), replacing the monolithic scan-everything StreamMonitor:
+/// checking"):
 ///
 /// - Queries are compiled once (CompiledQueryPlan); per-event work touches
 ///   only the partials the event's entity ids can extend (PartialTable's
@@ -102,35 +54,30 @@ struct EngineStats {
 ///   `std::span` views into a double buffer (the batch being processed and
 ///   the batch being filled are distinct vectors, swapped per batch — no
 ///   per-shard copy, allocation-free steady state).
-/// - Two sharding modes (ShardingMode): round-robin query partitioning
-///   (every shard sees every event through one deterministic ParallelFor
-///   chunk per shard) or entity-hash data partitioning (per-shard SPSC
-///   inboxes fed by a central sequencer on the caller thread; shards drain
-///   continuously). Both produce the identical canonical
-///   (event, query index, interval) alert stream, drop counters, and
-///   per-query stats for every shard count and batch size.
+/// - Queries are partitioned round-robin across shards and every shard
+///   sees every event through one deterministic ParallelFor chunk per
+///   shard, so the canonical (event, query index, interval) alert stream,
+///   drop counters, and per-query stats are identical for every shard
+///   count and batch size. One query never spans shards: a single hot
+///   watch caps at one core; scaling comes from query count.
 /// - Backpressure: per-query partial caps evict closest-to-death-first
 ///   with per-query drop accounting (StreamLimits::max_partials); an
 ///   EngineStats snapshot exposes live partials, index occupancy, drops,
-///   per-shard event counts, and (entity-hash) inbox depths, handoffs and
-///   routing skew.
+///   and per-shard event counts.
 ///
 /// The engine is externally synchronized: one caller feeds OnEvent/Flush
 /// (internally it fans work out to its own workers). Alerts surface on the
 /// OnEvent call that completes a batch, and on Flush for a partial batch;
-/// with batch_size = 1 (the default and the StreamMonitor facade setting)
-/// every OnEvent is synchronous.
+/// with batch_size = 1 (the default) every OnEvent is synchronous.
 ///
 /// Concurrency contract (machine-checked on Clang, see base/annotations.h):
-/// the caller thread is the *sequencer* — all central decision state
-/// (batching buffers, per-query QueryControl, dispatch bitmaps, probe
-/// bookkeeping) is TGM_GUARDED_BY(sequencer_role_), claimed by each public
-/// entry point for its duration. Shard-owned state carries each shard's
-/// own role capability: the worker loop holds its shard's RoleGuard for
-/// its lifetime, and the sequencer may claim a shard role only where it
-/// provably owns the shard — inline (no worker thread) or after
-/// QuiesceShards(). A worker lambda reaching into sequencer state (or
-/// vice versa) no longer type-checks.
+/// the caller thread is the *sequencer* — the batching buffers are
+/// TGM_GUARDED_BY(sequencer_role_), claimed by each public entry point for
+/// its duration. Shard-owned state carries each shard's own role
+/// capability: a ParallelFor chunk claims its shard's RoleGuard for the
+/// batch, and the sequencer claims shard roles only while no batch is in
+/// flight. A worker chunk reaching into sequencer state (or vice versa)
+/// does not type-check.
 class StreamEngine {
  public:
   struct Options {
@@ -139,14 +86,11 @@ class StreamEngine {
     /// Per-query live-partial high-water mark (oldest-first eviction).
     std::size_t max_partials_per_query = 100000;
     /// Worker shards; <= 0 means all hardware threads. 1 runs inline with
-    /// no worker threads (both modes).
+    /// no worker threads.
     int num_shards = 1;
     /// Events per fan-out batch (>= 1). Larger batches amortize the
     /// per-batch dispatch at the cost of alert latency.
     std::size_t batch_size = 1;
-    /// How work is split across shards; see ShardingMode. The alert
-    /// stream is identical in both modes.
-    ShardingMode sharding = ShardingMode::kQueryRoundRobin;
     /// Disable to run the legacy full-scan matching path (bench baseline).
     /// Both paths accept exactly the same matches; while no partials are
     /// dropped their alert streams are identical. Under backpressure the
@@ -167,7 +111,6 @@ class StreamEngine {
   using AlertSink = std::function<void(const StreamAlert&)>;
 
   explicit StreamEngine(const Options& options);
-  ~StreamEngine();
 
   StreamEngine(const StreamEngine&) = delete;
   StreamEngine& operator=(const StreamEngine&) = delete;
@@ -206,7 +149,6 @@ class StreamEngine {
     return query_count_;
   }
   int num_shards() const { return num_shards_; }
-  ShardingMode sharding() const { return options_.sharding; }
 
   /// True while a partial batch is buffered (fed events not yet
   /// processed). AddQuery is only legal when this is false; callers that
@@ -228,104 +170,14 @@ class StreamEngine {
   EngineStats Stats() const;
 
   /// Full-engine structural validator ("" = consistent, else the first
-  /// violation). Quiesces the shards, then checks every shard table's
-  /// PartialTable::CheckInvariants plus the engine-level cross-shard
-  /// accounting: central live counts vs. the sum of shard-table live
-  /// counts, the age heap's agreement with shard seq indexes, and
-  /// sent-vs-executed op counters (probes, inserts, erases). Run
-  /// automatically at every batch boundary when built with
+  /// violation): every shard table's PartialTable::CheckInvariants plus
+  /// the broadcast identity (every shard processed the same event count).
+  /// Run automatically at every batch boundary when built with
   /// -DTGMINER_CHECK_INVARIANTS=ON; callable any time between events.
   std::string CheckInvariants();
 
  private:
-  // --- entity-hash mode: central per-query control state ---------------
-  /// Heap entry of the engine-held age order over one query's partials
-  /// (all shards): same (expiry, first_ts, seq) key as the round-robin
-  /// PartialTable heap, plus where the partial lives so expiry/eviction
-  /// can address the erase.
-  struct AgeEntry {
-    Timestamp expiry = 0;
-    Timestamp first_ts = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t shard = 0;
-    bool wildcard = false;
-  };
-  struct AgeEntryGreater {
-    bool operator()(const AgeEntry& a, const AgeEntry& b) const {
-      if (a.expiry != b.expiry) return a.expiry > b.expiry;
-      if (a.first_ts != b.first_ts) return a.first_ts > b.first_ts;
-      return a.seq > b.seq;
-    }
-  };
-  /// Everything the sequencer decides with: the per-query facts that must
-  /// be global for drops, dedup, and stats to be bit-identical to a
-  /// single table.
-  struct QueryControl {
-    std::shared_ptr<const CompiledQueryPlan> plan;
-    Timestamp window = 0;  ///< effective (engine window folded w/ deadline)
-    std::set<Interval> emitted;
-    std::priority_queue<AgeEntry, std::vector<AgeEntry>, AgeEntryGreater>
-        by_age;
-    std::uint64_t next_seq = 0;
-    std::size_t live = 0;
-    std::size_t peak = 0;
-    std::size_t wildcard_live = 0;
-    std::int64_t alerts = 0;
-    std::int64_t dropped = 0;
-    std::int64_t seed_skips = 0;
-  };
-  /// One entity-hash worker: shard state + its op/result queues. With
-  /// num_shards == 1 the thread is never started and ops execute inline
-  /// on the caller (zero queue/thread overhead — the 1-shard baseline).
-  struct EntityWorker {
-    explicit EntityWorker(const StreamLimits& limits) : shard(limits) {}
-    EntityShard shard;
-    std::unique_ptr<SpscQueue<EntityShardOp>> inbox;
-    std::unique_ptr<SpscQueue<EntityShardResult>> outbox;
-    std::thread thread;
-    // Engine-side accounting (only the engine thread writes these).
-    std::size_t inbox_peak = 0;
-    std::int64_t events_routed = 0;
-    std::int64_t handoffs_in = 0;
-  };
-  /// A probe hit plus the shard that produced it (handoff accounting).
-  struct CollectedExt {
-    ProbeExtension ext;
-    std::uint32_t origin = 0;
-  };
-
   void ProcessBatch(const AlertSink& sink) TGM_REQUIRES(sequencer_role_);
-  void ProcessBatchRoundRobin(std::span<const StreamEvent> batch,
-                              const AlertSink& sink)
-      TGM_REQUIRES(sequencer_role_);
-  void ProcessBatchEntityHash(std::span<const StreamEvent> batch,
-                              const AlertSink& sink)
-      TGM_REQUIRES(sequencer_role_);
-  void EmitMerged(const AlertSink& sink) TGM_REQUIRES(sequencer_role_);
-
-  std::size_t ShardOf(std::int64_t entity) const;
-  void PushOp(std::size_t shard, EntityShardOp&& op)
-      TGM_REQUIRES(sequencer_role_);
-  void HandleResult(std::size_t shard, EntityShardResult& result)
-      TGM_REQUIRES(sequencer_role_);
-  bool DrainOutboxes() TGM_REQUIRES(sequencer_role_);
-  void WaitForProbes() TGM_REQUIRES(sequencer_role_);
-  /// Sends the erase for the query's closest-to-death partial (heap top).
-  void EraseTop(std::size_t query, QueryControl& qc)
-      TGM_REQUIRES(sequencer_role_);
-  void SendProbes(std::size_t query, QueryControl& qc, std::size_t event_index,
-                  const StreamEvent& event) TGM_REQUIRES(sequencer_role_);
-  /// Routes, sequences, and dispatches one new partial, applying the
-  /// backpressure cap first. `origin` is the shard whose probe produced
-  /// it, or -1 for a seed (no handoff either way).
-  void SendInsert(std::size_t query, QueryControl& qc,
-                  std::uint32_t next_edge, Timestamp first_ts,
-                  Timestamp last_ts, std::span<const std::int64_t> binding,
-                  int origin) TGM_REQUIRES(sequencer_role_);
-  /// Blocks until every op sent so far has executed (flush token per
-  /// shard). Establishes that the engine may touch shard state directly;
-  /// no-op when running inline.
-  void QuiesceShards() TGM_REQUIRES(sequencer_role_);
   /// CheckInvariants body; split out so the ProcessBatch tail (which
   /// already holds the sequencer role) can run it without re-acquiring.
   std::string CheckInvariantsInternal() TGM_REQUIRES(sequencer_role_);
@@ -336,14 +188,14 @@ class StreamEngine {
 
   /// The sequencer capability: stands for "I am the externally
   /// synchronized caller thread". Every public entry point claims it with
-  /// a RoleGuard for its duration; the entity-hash worker lambdas never
-  /// hold it, so code running on a worker cannot touch the guarded
-  /// members below (it would not compile under Clang's analysis).
+  /// a RoleGuard for its duration; the ParallelFor chunks never hold it,
+  /// so code running on a worker cannot touch the guarded members below
+  /// (it would not compile under Clang's analysis).
   ThreadRole sequencer_role_;
 
   std::size_t query_count_ TGM_GUARDED_BY(sequencer_role_) = 0;
 
-  // Shared batching state (both modes).
+  // Batching state.
   /// Filling side of the double buffer.
   std::vector<StreamEvent> batch_ TGM_GUARDED_BY(sequencer_role_);
   /// Processing side (span target).
@@ -353,40 +205,14 @@ class StreamEngine {
   Timestamp last_ts_ TGM_GUARDED_BY(sequencer_role_) = 0;
   std::int64_t out_of_order_events_ TGM_GUARDED_BY(sequencer_role_) = 0;
 
-  // kQueryRoundRobin state. The containers themselves are structurally
-  // immutable after the constructor (no guard needed to index them); the
-  // *elements* are confined — each StreamShard's state by its own role
-  // capability, each shard_alerts_ slot by the convention that only the
-  // worker running that shard's batch writes it.
+  // Shard state. The containers themselves are structurally immutable
+  // after the constructor (no guard needed to index them); the *elements*
+  // are confined — each StreamShard's state by its own role capability,
+  // each shard_alerts_ slot by the convention that only the worker running
+  // that shard's batch writes it.
   std::unique_ptr<StealScheduler> pool_;  // num_shards - 1 workers
   std::vector<StreamShard> shards_;
   std::vector<std::vector<ShardAlert>> shard_alerts_;  // per-shard outbox
-
-  // kEntityHash state. `workers_` is likewise fixed after construction;
-  // each EntityShard is confined by its role, the queues are internally
-  // synchronized, and the engine-side counters inside EntityWorker are
-  // written only by the sequencer.
-  std::vector<std::unique_ptr<EntityWorker>> workers_;
-  std::vector<QueryControl> controls_ TGM_GUARDED_BY(sequencer_role_);
-  SeedDispatchIndex seed_dispatch_ TGM_GUARDED_BY(sequencer_role_);
-  bool dispatch_dirty_ TGM_GUARDED_BY(sequencer_role_) = false;
-  Notifier results_ready_;  // internally synchronized
-  std::size_t outstanding_probes_ TGM_GUARDED_BY(sequencer_role_) = 0;
-  std::size_t flush_acks_ TGM_GUARDED_BY(sequencer_role_) = 0;
-  std::uint64_t flush_token_ TGM_GUARDED_BY(sequencer_role_) = 0;
-  /// Op counters for the sent-vs-executed accounting identity (the shard
-  /// side is EntityShard::inserts_executed/erases_executed; probes pair
-  /// with the per-worker events_routed).
-  std::int64_t inserts_sent_ TGM_GUARDED_BY(sequencer_role_) = 0;
-  std::int64_t erases_sent_ TGM_GUARDED_BY(sequencer_role_) = 0;
-  // Per-event scratch (capacity persists across events).
-  std::vector<std::size_t> advancing_ TGM_GUARDED_BY(sequencer_role_);
-  std::vector<std::vector<CollectedExt>> exts_by_query_
-      TGM_GUARDED_BY(sequencer_role_);
-  std::vector<Interval> completions_scratch_ TGM_GUARDED_BY(sequencer_role_);
-  std::vector<EntityShardResult> inline_results_
-      TGM_GUARDED_BY(sequencer_role_);
-  BindingBuf seed_binding_ TGM_GUARDED_BY(sequencer_role_);
 };
 
 }  // namespace tgm

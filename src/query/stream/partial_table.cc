@@ -33,11 +33,11 @@ std::vector<std::uint32_t>& PartialTable::BucketFor(Role role,
   return wildcard_;
 }
 
-std::uint32_t PartialTable::AllocateSlot(std::span<const std::int64_t> binding,
-                                         std::uint32_t next_edge,
-                                         Timestamp first_ts, Timestamp last_ts,
-                                         Role role, std::int64_t key,
-                                         std::uint64_t seq) {
+std::uint32_t PartialTable::Insert(std::span<const std::int64_t> binding,
+                                   std::uint32_t next_edge,
+                                   Timestamp first_ts, Timestamp last_ts,
+                                   Timestamp expiry, Role role,
+                                   std::int64_t key) {
   TGM_DCHECK(binding.size() == node_count_);
   if (!entity_index_) role = Role::kWildcard;
   std::uint32_t slot;
@@ -57,45 +57,14 @@ std::uint32_t PartialTable::AllocateSlot(std::span<const std::int64_t> binding,
   m.last_ts = last_ts;
   m.role = role;
   m.key = key;
-  m.seq = seq;
+  m.seq = next_seq_++;
   std::vector<std::uint32_t>& bucket = BucketFor(role, key);
   m.bucket_pos = static_cast<std::uint32_t>(bucket.size());
   bucket.push_back(slot);
+  by_age_.push(AgeKey{expiry, first_ts, m.seq, slot});
   ++live_;
   if (live_ > peak_) peak_ = live_;
   return slot;
-}
-
-std::uint32_t PartialTable::Insert(std::span<const std::int64_t> binding,
-                                   std::uint32_t next_edge,
-                                   Timestamp first_ts, Timestamp last_ts,
-                                   Timestamp expiry, Role role,
-                                   std::int64_t key) {
-  TGM_DCHECK(!external_lifetime_);
-  std::uint32_t slot = AllocateSlot(binding, next_edge, first_ts, last_ts,
-                                    role, key, next_seq_++);
-  by_age_.push(AgeKey{expiry, first_ts, meta_[slot].seq, slot});
-  return slot;
-}
-
-std::uint32_t PartialTable::InsertWithSeq(
-    std::span<const std::int64_t> binding, std::uint32_t next_edge,
-    Timestamp first_ts, Timestamp last_ts, Role role, std::int64_t key,
-    std::uint64_t seq) {
-  TGM_DCHECK(external_lifetime_);
-  std::uint32_t slot =
-      AllocateSlot(binding, next_edge, first_ts, last_ts, role, key, seq);
-  by_seq_.emplace(seq, slot);
-  return slot;
-}
-
-bool PartialTable::EraseBySeq(std::uint64_t seq) {
-  auto it = by_seq_.find(seq);
-  if (it == by_seq_.end()) return false;
-  std::uint32_t slot = it->second;
-  by_seq_.erase(it);
-  Remove(slot);
-  return true;
 }
 
 void PartialTable::Remove(std::uint32_t slot) {
@@ -114,7 +83,6 @@ void PartialTable::Remove(std::uint32_t slot) {
 }
 
 void PartialTable::ExpireAt(Timestamp now) {
-  TGM_DCHECK(!external_lifetime_);
   while (!by_age_.empty() && std::get<0>(by_age_.top()) < now) {
     std::uint32_t slot = std::get<3>(by_age_.top());
     by_age_.pop();
@@ -123,7 +91,6 @@ void PartialTable::ExpireAt(Timestamp now) {
 }
 
 void PartialTable::EvictOldest() {
-  TGM_DCHECK(!external_lifetime_);
   TGM_CHECK(!by_age_.empty());
   std::uint32_t slot = std::get<3>(by_age_.top());
   by_age_.pop();
@@ -212,55 +179,31 @@ std::string PartialTable::CheckInvariants() const {
     return "buckets file " + std::to_string(filed) + " partials, live count " +
            std::to_string(live_);
   }
-  // Lifetime index: the age heap (internal mode) or the engine-seq map
-  // (external mode) covers exactly the live slots — the table has no lazy
+  // The age heap covers exactly the live slots — the table has no lazy
   // deletion, so any mismatch is a leak or a dangling reference.
-  if (external_lifetime_) {
-    if (!HeapContainer(by_age_).empty()) {
-      return "age heap populated in external-lifetime mode";
+  const auto& heap = HeapContainer(by_age_);
+  if (heap.size() != live_) {
+    return "age heap holds " + std::to_string(heap.size()) +
+           " entries, live count " + std::to_string(live_) +
+           " (the heap has no lazy deletion)";
+  }
+  std::vector<char> in_heap(slots, 0);
+  for (const AgeKey& key : heap) {
+    const std::uint32_t slot = std::get<3>(key);
+    if (slot >= slots || is_free[slot]) {
+      return "age-heap entry names dead " + SlotStr(slot);
     }
-    if (by_seq_.size() != live_) {
-      return "seq index holds " + std::to_string(by_seq_.size()) +
-             " entries, live count " + std::to_string(live_);
+    if (in_heap[slot]) {
+      return SlotStr(slot) + " appears twice in the age heap";
     }
-    // tgm-lint: unordered-iter-ok(debug validator; order only picks which violation reports first)
-    for (const auto& [seq, slot] : by_seq_) {
-      if (slot >= slots || is_free[slot]) {
-        return "seq " + std::to_string(seq) + " maps to dead " + SlotStr(slot);
-      }
-      if (meta_[slot].seq != seq) {
-        return "seq " + std::to_string(seq) + " maps to " + SlotStr(slot) +
-               " whose meta records seq " + std::to_string(meta_[slot].seq);
-      }
-    }
-  } else {
-    if (!by_seq_.empty()) {
-      return "seq index populated in internal-lifetime mode";
-    }
-    const auto& heap = HeapContainer(by_age_);
-    if (heap.size() != live_) {
-      return "age heap holds " + std::to_string(heap.size()) +
-             " entries, live count " + std::to_string(live_) +
-             " (the heap has no lazy deletion)";
-    }
-    std::vector<char> in_heap(slots, 0);
-    for (const AgeKey& key : heap) {
-      const std::uint32_t slot = std::get<3>(key);
-      if (slot >= slots || is_free[slot]) {
-        return "age-heap entry names dead " + SlotStr(slot);
-      }
-      if (in_heap[slot]) {
-        return SlotStr(slot) + " appears twice in the age heap";
-      }
-      in_heap[slot] = 1;
-      const Meta& m = meta_[slot];
-      if (std::get<1>(key) != m.first_ts || std::get<2>(key) != m.seq) {
-        return "age-heap key (first_ts " + std::to_string(std::get<1>(key)) +
-               ", seq " + std::to_string(std::get<2>(key)) +
-               ") disagrees with " + SlotStr(slot) + " meta (first_ts " +
-               std::to_string(m.first_ts) + ", seq " + std::to_string(m.seq) +
-               ")";
-      }
+    in_heap[slot] = 1;
+    const Meta& m = meta_[slot];
+    if (std::get<1>(key) != m.first_ts || std::get<2>(key) != m.seq) {
+      return "age-heap key (first_ts " + std::to_string(std::get<1>(key)) +
+             ", seq " + std::to_string(std::get<2>(key)) +
+             ") disagrees with " + SlotStr(slot) + " meta (first_ts " +
+             std::to_string(m.first_ts) + ", seq " + std::to_string(m.seq) +
+             ")";
     }
   }
   return std::string();

@@ -30,10 +30,9 @@ struct PartialTableTestPeer;
 ///   entity, else a wildcard bucket (canonical consecutive growth makes
 ///   the wildcard reachable only by edge 0, but the bucket keeps the
 ///   structure total). The index is one role-agnostic entity -> bucket
-///   map — the same key the entity-hash engine shards the table by — so
-///   an event probes exactly `by_entity[event.src] ∪ by_entity[event.dst]
-///   ∪ wildcard`: the only partials that can possibly extend, instead of
-///   a scan of all of them. When the event is a self-loop
+///   map, so an event probes exactly `by_entity[event.src] ∪
+///   by_entity[event.dst] ∪ wildcard`: the only partials that can possibly
+///   extend, instead of a scan of all of them. When the event is a self-loop
 ///   (src == dst) the two probes name the *same* bucket; ForEachExtendable
 ///   dedups at the bucket level so no partial is ever probed twice (a
 ///   naive two-sided probe would double-extend every partial in that
@@ -57,14 +56,6 @@ struct PartialTableTestPeer;
 /// Bucket iteration order is insertion order (swap-removal perturbs it
 /// deterministically), so every operation is a pure function of the event
 /// history — the basis of the engine's cross-shard determinism.
-///
-/// **External-lifetime mode** (`external_lifetime = true`): the table is
-/// one entity-hash shard's fragment of a query's partials. Expiry and
-/// eviction decisions are made centrally by the engine (which owns the
-/// age heap across all fragments), so the local heap is not maintained;
-/// instead every insert carries the engine-assigned sequence number and
-/// removal is addressed by it (EraseBySeq). ExpireAt/EvictOldest must not
-/// be called in this mode.
 class PartialTable {
  public:
   /// Where a partial is filed: under the concrete entity its next
@@ -76,11 +67,8 @@ class PartialTable {
   static constexpr Timestamp kNeverExpires =
       std::numeric_limits<Timestamp>::max();
 
-  PartialTable(std::size_t node_count, bool entity_index,
-               bool external_lifetime = false)
-      : node_count_(node_count),
-        entity_index_(entity_index),
-        external_lifetime_(external_lifetime) {}
+  PartialTable(std::size_t node_count, bool entity_index)
+      : node_count_(node_count), entity_index_(entity_index) {}
 
   std::size_t live() const { return live_; }
   /// High-water mark of live partials.
@@ -125,42 +113,15 @@ class PartialTable {
     for (std::uint32_t slot : wildcard_) fn(slot);
   }
 
-  /// One-sided probe of the entity-hash shard path: `fn(slot)` over the
-  /// bucket of `entity` alone (the shard owning hash(entity) probes only
-  /// that side; the other entity's bucket lives wherever it hashes).
-  template <typename Fn>
-  void ForEachInBucket(std::int64_t entity, Fn&& fn) const {
-    auto it = by_entity_.find(entity);
-    if (it == by_entity_.end()) return;
-    for (std::uint32_t slot : it->second) fn(slot);
-  }
-
-  template <typename Fn>
-  void ForEachWildcard(Fn&& fn) const {
-    for (std::uint32_t slot : wildcard_) fn(slot);
-  }
-
   /// Files a new partial; `binding` must have node_count entries. `role`
   /// and `key` describe where the *next* transition requires it (with the
   /// index disabled the role is forced to wildcard). `expiry` is the
   /// stream time at which the partial becomes dead (kNeverExpires = only
-  /// eviction can remove it). Not available in external-lifetime mode.
+  /// eviction can remove it).
   std::uint32_t Insert(std::span<const std::int64_t> binding,
                        std::uint32_t next_edge, Timestamp first_ts,
                        Timestamp last_ts, Timestamp expiry, Role role,
                        std::int64_t key);
-
-  /// External-lifetime insert: files the partial under the engine's
-  /// sequence number `seq` instead of maintaining the local age heap.
-  /// Removal is by EraseBySeq only.
-  std::uint32_t InsertWithSeq(std::span<const std::int64_t> binding,
-                              std::uint32_t next_edge, Timestamp first_ts,
-                              Timestamp last_ts, Role role, std::int64_t key,
-                              std::uint64_t seq);
-
-  /// Removes the partial filed under engine sequence number `seq`
-  /// (external-lifetime mode). Returns false if no such partial exists.
-  bool EraseBySeq(std::uint64_t seq);
 
   /// Removes every partial whose expiry precedes `now` (window expiry and
   /// guard-deadline expiry in one pass; a partial with expiry == now can
@@ -172,20 +133,13 @@ class PartialTable {
   /// partial. Requires live() > 0.
   void EvictOldest();
 
-  /// Whether a partial is filed under engine sequence number `seq`
-  /// (external-lifetime mode; the engine's cross-shard validator uses it
-  /// to check its age heap against the shard tables).
-  bool HasSeq(std::uint64_t seq) const {
-    return by_seq_.find(seq) != by_seq_.end();
-  }
-
   /// Structural validator (base/invariants.h): returns "" when the
   /// representation is consistent, else a description of the first
   /// violated invariant. Checked relations: binding-arena and free-list
   /// bounds; live count == allocated − free == Σ bucket sizes; every
   /// bucket entry's meta (role, key, bucket_pos) points back at its
-  /// bucket; no empty entity buckets; the age heap (internal mode) or the
-  /// seq index (external-lifetime mode) covers exactly the live slots.
+  /// bucket; no empty entity buckets; the age heap covers exactly the live
+  /// slots.
   std::string CheckInvariants() const;
 
  private:
@@ -206,26 +160,19 @@ class PartialTable {
   using AgeKey =
       std::tuple<Timestamp, Timestamp, std::uint64_t, std::uint32_t>;
 
-  std::uint32_t AllocateSlot(std::span<const std::int64_t> binding,
-                             std::uint32_t next_edge, Timestamp first_ts,
-                             Timestamp last_ts, Role role, std::int64_t key,
-                             std::uint64_t seq);
   std::vector<std::uint32_t>& BucketFor(Role role, std::int64_t key);
   void Remove(std::uint32_t slot);
 
   std::size_t node_count_;
   bool entity_index_;
-  bool external_lifetime_;
   std::vector<Meta> meta_;
   std::vector<std::int64_t> bindings_;  // slots x node_count_
   std::vector<std::uint32_t> free_slots_;
-  /// Role-agnostic entity -> bucket index (the entity-hash routing key).
+  /// Role-agnostic entity -> bucket index.
   std::unordered_map<std::int64_t, std::vector<std::uint32_t>> by_entity_;
   std::vector<std::uint32_t> wildcard_;
   std::priority_queue<AgeKey, std::vector<AgeKey>, std::greater<AgeKey>>
       by_age_;
-  /// External-lifetime mode: engine seq -> slot for EraseBySeq.
-  std::unordered_map<std::uint64_t, std::uint32_t> by_seq_;
   std::size_t live_ = 0;
   std::size_t peak_ = 0;
   std::uint64_t next_seq_ = 0;

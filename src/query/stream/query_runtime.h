@@ -40,13 +40,12 @@ struct StreamLimits {
   bool guard_expiry = true;
 };
 
-/// --- Shared transition semantics --------------------------------------
+/// --- Transition semantics ---------------------------------------------
 ///
-/// The round-robin path (QueryRuntime, below) and the entity-hash path
-/// (EntityShard + the engine's central sequencer) must agree bit-for-bit
-/// on what an event does to a partial. These free functions are that
-/// single definition: both paths call them, so the match/guard/routing
-/// logic cannot drift between sharding modes.
+/// What an event does to a partial, as free functions over a compiled
+/// plan: QueryRuntime (below) calls them per partial, and they are the
+/// seams any other executor of the same plans must reuse so the
+/// match/guard/routing logic has a single definition.
 
 /// Outcome of testing one live partial against one event.
 enum class ExtendOutcome : std::uint8_t {
@@ -78,8 +77,8 @@ void FillExtendedBinding(const CompiledQueryPlan& plan,
                          std::span<std::int64_t> out);
 
 /// Where a partial waiting on `next_edge` files in a PartialTable: under
-/// the concrete entity its next transition requires (the entity-hash
-/// routing key), or the wildcard bucket when neither endpoint is bound.
+/// the concrete entity its next transition requires, or the wildcard
+/// bucket when neither endpoint is bound.
 struct PartialRoute {
   PartialTable::Role role = PartialTable::Role::kWildcard;
   std::int64_t key = 0;
@@ -101,12 +100,12 @@ Timestamp ComputePartialExpiry(const CompiledQueryPlan& plan,
 /// timed-automata guards baked in), the entity-indexed partial table, and
 /// the emitted-interval dedup set.
 ///
-/// `Advance` preserves the original StreamMonitor semantics exactly —
-/// expiry before extension, in-place extension with a pending list (an
-/// extension is never re-extended by the event that created it), strict
-/// injectivity, window check on the extended span, one alert per distinct
-/// interval — while touching only the partials the event's entities can
-/// extend. Constraint guards are enforced at the same point as the window
+/// `Advance` preserves the original scan-everything monitor semantics
+/// exactly — expiry before extension, in-place extension with a pending
+/// list (an extension is never re-extended by the event that created it),
+/// strict injectivity, window check on the extended span, one alert per
+/// distinct interval — while touching only the partials the event's
+/// entities can extend. Constraint guards are enforced at the same point as the window
 /// check (a guarded extension simply rejects), so a trivial
 /// TemporalConstraints is bit-identical to the unconstrained path.
 /// Completions are reported sorted by interval, which makes the per-event

@@ -35,9 +35,7 @@ struct ShardAlert {
 /// the event, so skipping changes no alert or stat other than the
 /// `seed_skips` counter itself.
 ///
-/// Used over *local* query slots by each round-robin StreamShard, and over
-/// *global* query indexes by the entity-hash engine's central sequencer —
-/// one implementation so the two sharding modes cannot drift.
+/// Used over the *local* query slots of each StreamShard.
 class SeedDispatchIndex {
  public:
   using Bitmap = std::vector<std::uint64_t>;

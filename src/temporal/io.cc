@@ -3,6 +3,7 @@
 #include <charconv>
 #include <istream>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -157,13 +158,6 @@ StatusOr<TemporalGraph> ParseTemporalGraph(std::istream& is, LabelDict& dict) {
   return ParseTemporalGraph(cursor, dict);
 }
 
-std::optional<TemporalGraph> ReadTemporalGraph(std::istream& is,
-                                               LabelDict& dict) {
-  StatusOr<TemporalGraph> parsed = ParseTemporalGraph(is, dict);
-  if (!parsed.ok()) return std::nullopt;
-  return std::move(parsed).value();
-}
-
 void WritePattern(std::ostream& os, const Pattern& p, const LabelDict& dict) {
   os << "tpattern " << p.node_count() << " " << p.edge_count() << "\n";
   for (std::size_t v = 0; v < p.node_count(); ++v) {
@@ -192,12 +186,6 @@ StatusOr<Pattern> ParsePattern(LineCursor& cursor, LabelDict& dict) {
 StatusOr<Pattern> ParsePattern(std::istream& is, LabelDict& dict) {
   LineCursor cursor(is);
   return ParsePattern(cursor, dict);
-}
-
-std::optional<Pattern> ReadPattern(std::istream& is, LabelDict& dict) {
-  StatusOr<Pattern> parsed = ParsePattern(is, dict);
-  if (!parsed.ok()) return std::nullopt;
-  return std::move(parsed).value();
 }
 
 namespace {

@@ -2,7 +2,6 @@
 #define TGM_TEMPORAL_IO_H_
 
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,18 +29,11 @@ namespace tgm {
 /// Label names must not contain whitespace; the syslog generator's labels
 /// satisfy this by construction.
 ///
-/// Parsers come in two flavours:
-///  - `Parse*` returns StatusOr with a line-numbered kDataLoss diagnostic
-///    on malformed input ("line 4: edge references node 7 of 2") — use
-///    these for anything user- or file-fed.
-///  - `Read*` is the legacy `std::optional` surface, kept as a thin
-///    wrapper over `Parse*` for existing callers; it drops the
-///    diagnostic. Note the parsers are strictly line-oriented (one
-///    record element per line, as every writer in this tree emits); the
-///    pre-StatusOr token readers incidentally accepted records with
-///    arbitrary line breaks, which was never part of the format. They
-///    also reject zero-edge `tpattern` records (the old reader returned
-///    an empty Pattern, which no consumer can execute).
+/// The `Parse*` parsers return StatusOr with a line-numbered kDataLoss
+/// diagnostic on malformed input ("line 4: edge references node 7 of 2").
+/// They are strictly line-oriented (one record element per line, as every
+/// writer in this tree emits) and reject zero-edge `tpattern` records (an
+/// empty Pattern is something no consumer can execute).
 
 /// Line-oriented cursor over an istream used by the text-format parsers:
 /// hands out whitespace-trimmed non-empty lines and tracks 1-based line
@@ -91,10 +83,6 @@ StatusOr<TemporalGraph> ParseTemporalGraph(std::istream& is, LabelDict& dict);
 StatusOr<TemporalGraph> ParseTemporalGraph(LineCursor& cursor,
                                            LabelDict& dict);
 
-/// Legacy wrapper over ParseTemporalGraph: nullopt on any parse error.
-std::optional<TemporalGraph> ReadTemporalGraph(std::istream& is,
-                                               LabelDict& dict);
-
 /// Writes a pattern using names from `dict`.
 void WritePattern(std::ostream& os, const Pattern& p, const LabelDict& dict);
 
@@ -102,9 +90,6 @@ void WritePattern(std::ostream& os, const Pattern& p, const LabelDict& dict);
 /// ParseTemporalGraph.
 StatusOr<Pattern> ParsePattern(std::istream& is, LabelDict& dict);
 StatusOr<Pattern> ParsePattern(LineCursor& cursor, LabelDict& dict);
-
-/// Legacy wrapper over ParsePattern: nullopt on any parse error.
-std::optional<Pattern> ReadPattern(std::istream& is, LabelDict& dict);
 
 /// Graphviz DOT rendering of a pattern: nodes carry their labels, edges
 /// their temporal order (and edge label when present). Paste into `dot

@@ -19,11 +19,9 @@
 ///    per-worker steal deques plus a shared injector — and TaskGroup,
 ///    whose Wait() helps run queued tasks instead of blocking, so
 ///    nested fork/join is safe by construction), exec/parallel_for.h
-///    (deterministic index-ordered ParallelFor over a TaskGroup), and
-///    exec/spsc_queue.h (bounded single-producer/single-consumer rings
-///    for the stream shards). The miner and the stream engine both
-///    schedule onto these primitives; nothing above exec/ spawns raw
-///    threads.
+///    (deterministic index-ordered ParallelFor over a TaskGroup). The
+///    miner and the stream engine both schedule onto these primitives;
+///    nothing above exec/ spawns raw threads.
 ///  - error model: api/status.h (tgm::Status / tgm::StatusOr<T>, used by
 ///    every layer's fallible public entry points)
 ///  - temporal graph substrate: temporal_graph.h, pattern.h, sequence.h,
@@ -41,16 +39,15 @@
 ///    entity.h, script.h, behaviors.h, background.h, dataset.h
 ///  - query formulation, search and evaluation: interest.h, searcher.h,
 ///    nodeset.h, static_search.h, evaluator.h; online surveillance:
-///    stream_monitor.h over query/stream/, itself layered bottom-up as
-///    event.h (the stream unit) -> compiled_plan.h (Pattern compiled to
-///    transition guards once, plus seed-dispatch keys) -> partial_table.h
-///    (live partials bucketed by the entity their next transition
-///    requires) -> query_runtime.h (shared transition/routing semantics:
-///    MatchTransition/RouteForNextEdge + the single-table runtime) ->
-///    shard.h / entity_shard.h (the two shard executors: round-robin
-///    query shards, entity-hash op shards) -> engine.h (StreamEngine:
-///    batching, ShardingMode routing over exec/spsc_queue.h inboxes, the
-///    canonical alert merge both modes reproduce bit-identically)
+///    query/stream/, layered bottom-up as event.h (the stream unit) ->
+///    compiled_plan.h (Pattern compiled to transition guards once, plus
+///    seed-dispatch keys) -> partial_table.h (live partials bucketed by
+///    the entity their next transition requires) -> query_runtime.h
+///    (transition/routing semantics: MatchTransition/RouteForNextEdge +
+///    the per-query runtime) -> shard.h (a round-robin subset of the
+///    queries plus seed dispatch) -> engine.h (StreamEngine: batching,
+///    the per-batch broadcast to every shard, and the canonical alert
+///    merge that makes the stream independent of the shard count)
 ///  - **the stable front door** (new code starts here): api/session.h
 ///    (tgm::api::Session — ingestion, corpora, the Search/Watch pair),
 ///    api/behavior_query.h (the durable mined-query artifact),

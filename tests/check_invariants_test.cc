@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/spsc_queue.h"
 #include "query/stream/engine.h"
 #include "query/stream/partial_table.h"
 #include "test_util.h"
@@ -32,27 +31,8 @@ struct PartialTableTestPeer {
   static std::uint32_t& bucket_pos(PartialTable& t, std::uint32_t slot) {
     return t.meta_[slot].bucket_pos;
   }
-  static std::unordered_map<std::uint64_t, std::uint32_t>& by_seq(
-      PartialTable& t) {
-    return t.by_seq_;
-  }
   static std::vector<std::uint32_t>& free_slots(PartialTable& t) {
     return t.free_slots_;
-  }
-};
-
-struct SpscQueueTestPeer {
-  template <typename T>
-  static void SetMask(SpscQueue<T>& q, std::size_t mask) {
-    q.mask_ = mask;
-  }
-  template <typename T>
-  static void SetTail(SpscQueue<T>& q, std::size_t tail) {
-    q.tail_.store(tail, std::memory_order_release);
-  }
-  template <typename T>
-  static void ParkProducer(SpscQueue<T>& q, bool parked) {
-    q.producer_parked_.store(parked, std::memory_order_seq_cst);
   }
 };
 
@@ -64,7 +44,7 @@ constexpr std::int64_t kBinding[] = {7, 8};
 
 // --- PartialTable ------------------------------------------------------
 
-PartialTable MakeInternalTable() {
+PartialTable MakeTable() {
   PartialTable t(/*node_count=*/2, /*entity_index=*/true);
   t.Insert(kBinding, /*next_edge=*/1, /*first_ts=*/10, /*last_ts=*/10,
            /*expiry=*/110, PartialTable::Role::kEntity, /*key=*/8);
@@ -76,7 +56,7 @@ TEST(PartialTableInvariantsTest, CleanTableReportsNothing) {
   PartialTable t(2, true);
   EXPECT_EQ(t.CheckInvariants(), "");
 
-  t = MakeInternalTable();
+  t = MakeTable();
   EXPECT_EQ(t.CheckInvariants(), "");
 
   // Removal paths keep the representation consistent too.
@@ -88,24 +68,14 @@ TEST(PartialTableInvariantsTest, CleanTableReportsNothing) {
   EXPECT_EQ(t.CheckInvariants(), "");
 }
 
-TEST(PartialTableInvariantsTest, CleanExternalLifetimeTableReportsNothing) {
-  PartialTable t(2, true, /*external_lifetime=*/true);
-  t.InsertWithSeq(kBinding, 1, 10, 10, PartialTable::Role::kEntity, 8,
-                  /*seq=*/41);
-  t.InsertWithSeq(kBinding, 1, 20, 20, PartialTable::Role::kWildcard, 0, 42);
-  EXPECT_EQ(t.CheckInvariants(), "");
-  EXPECT_TRUE(t.EraseBySeq(41));
-  EXPECT_EQ(t.CheckInvariants(), "");
-}
-
 TEST(PartialTableInvariantsTest, DetectsLiveCountDrift) {
-  PartialTable t = MakeInternalTable();
+  PartialTable t = MakeTable();
   PartialTableTestPeer::live(t) = 3;
   EXPECT_EQ(t.CheckInvariants(), "live count 3 != allocated 2 - free 0");
 }
 
 TEST(PartialTableInvariantsTest, DetectsBindingArenaSizeMismatch) {
-  PartialTable t = MakeInternalTable();
+  PartialTable t = MakeTable();
   PartialTableTestPeer::bindings(t).push_back(0);
   EXPECT_EQ(t.CheckInvariants(),
             "binding arena holds 5 entries, want 4 (2 slots x 2 nodes)");
@@ -124,62 +94,10 @@ TEST(PartialTableInvariantsTest, DetectsBucketPositionDrift) {
 }
 
 TEST(PartialTableInvariantsTest, DetectsFreeListCorruption) {
-  PartialTable t = MakeInternalTable();
+  PartialTable t = MakeTable();
   // Claiming a live slot is free makes it dead and filed at once.
   PartialTableTestPeer::free_slots(t).push_back(0);
   EXPECT_EQ(t.CheckInvariants(), "live count 2 != allocated 2 - free 1");
-}
-
-TEST(PartialTableInvariantsTest, DetectsSeqIndexLeak) {
-  PartialTable t(2, true, /*external_lifetime=*/true);
-  t.InsertWithSeq(kBinding, 1, 10, 10, PartialTable::Role::kEntity, 8, 41);
-  ASSERT_EQ(t.CheckInvariants(), "");
-  // Losing the seq entry strands the partial: the engine can never erase
-  // it again (EraseBySeq addresses by seq).
-  PartialTableTestPeer::by_seq(t).erase(41);
-  EXPECT_EQ(t.CheckInvariants(), "seq index holds 0 entries, live count 1");
-}
-
-TEST(PartialTableInvariantsTest, DetectsDanglingSeqMapping) {
-  PartialTable t(2, true, /*external_lifetime=*/true);
-  t.InsertWithSeq(kBinding, 1, 10, 10, PartialTable::Role::kEntity, 8, 41);
-  PartialTableTestPeer::by_seq(t)[41] = 5;  // slot 5 was never allocated
-  EXPECT_EQ(t.CheckInvariants(), "seq 41 maps to dead slot 5");
-}
-
-// --- SpscQueue ---------------------------------------------------------
-
-TEST(SpscQueueInvariantsTest, CleanQueueReportsNothing) {
-  SpscQueue<int> q(8);
-  EXPECT_EQ(q.CheckInvariants(), "");
-  for (int i = 0; i < 5; ++i) {
-    int v = i;
-    ASSERT_TRUE(q.TryPush(v));
-  }
-  int out = 0;
-  ASSERT_TRUE(q.TryPop(&out));
-  EXPECT_EQ(q.CheckInvariants(), "");
-}
-
-TEST(SpscQueueInvariantsTest, DetectsMaskDrift) {
-  SpscQueue<int> q(8);
-  SpscQueueTestPeer::SetMask(q, 3);
-  EXPECT_EQ(q.CheckInvariants(), "mask 3 != capacity-1 7");
-}
-
-TEST(SpscQueueInvariantsTest, DetectsDepthOverflow) {
-  SpscQueue<int> q(8);
-  SpscQueueTestPeer::SetTail(q, 9);
-  EXPECT_EQ(q.CheckInvariants(), "depth 9 (head 0, tail 9) exceeds capacity 8");
-}
-
-TEST(SpscQueueInvariantsTest, DetectsStuckParkedFlag) {
-  SpscQueue<int> q(8);
-  SpscQueueTestPeer::ParkProducer(q, true);
-  EXPECT_EQ(q.CheckInvariants(),
-            "producer parked flag set on a quiescent queue");
-  // A non-quiescent check (a blocking call in flight) accepts the flag.
-  EXPECT_EQ(q.CheckInvariants(/*quiescent=*/false), "");
 }
 
 // --- StreamEngine ------------------------------------------------------
@@ -196,12 +114,11 @@ std::vector<StreamEvent> TwoEdgeWorkload() {
   return events;
 }
 
-void RunEngineAndValidate(ShardingMode mode) {
+TEST(StreamEngineInvariantsTest, RoundRobinEngineIsConsistent) {
   StreamEngine::Options opts;
   opts.window = 100;
   opts.num_shards = 2;
   opts.batch_size = 2;
-  opts.sharding = mode;
   StreamEngine engine(opts);
   engine.AddQuery(MakePattern({0, 1, 2}, {{0, 1}, {1, 2}}));
   std::vector<StreamAlert> alerts;
@@ -213,20 +130,12 @@ void RunEngineAndValidate(ShardingMode mode) {
   EXPECT_EQ(engine.CheckInvariants(), "");
 }
 
-TEST(StreamEngineInvariantsTest, RoundRobinEngineIsConsistent) {
-  RunEngineAndValidate(ShardingMode::kQueryRoundRobin);
-}
-
-TEST(StreamEngineInvariantsTest, EntityHashEngineIsConsistent) {
-  RunEngineAndValidate(ShardingMode::kEntityHash);
-}
-
 // --- TGM_VALIDATE_INVARIANTS wiring ------------------------------------
 
 #if defined(TGMINER_CHECK_INVARIANTS)
 TEST(CheckInvariantsDeathTest, ValidateAbortsWithViolationMessage) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  PartialTable t = MakeInternalTable();
+  PartialTable t = MakeTable();
   PartialTableTestPeer::live(t) = 3;
   EXPECT_DEATH(
       TGM_VALIDATE_INVARIANTS("CheckInvariantsDeathTest", t.CheckInvariants()),
@@ -236,7 +145,7 @@ TEST(CheckInvariantsDeathTest, ValidateAbortsWithViolationMessage) {
 #else
 TEST(CheckInvariantsTest, ValidateCompilesOutWhenDisabled) {
   static_assert(!kInvariantChecksEnabled);
-  PartialTable t = MakeInternalTable();
+  PartialTable t = MakeTable();
   PartialTableTestPeer::live(t) = 3;  // would abort if the macro ran
   TGM_VALIDATE_INVARIANTS("disabled", t.CheckInvariants());
 }

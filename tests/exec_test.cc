@@ -17,11 +17,14 @@ namespace tgm {
 namespace {
 
 TEST(StealSchedulerTest, RunsSubmittedTasks) {
-  StealScheduler pool(3);
-  EXPECT_EQ(pool.num_workers(), 3);
   std::atomic<int> done{0};
   std::mutex mu;
   std::condition_variable cv;
+  // Declared after `mu`/`cv` so its destructor joins the workers before
+  // they die: the waiter can see done == 50 and return while the last
+  // task is still about to lock `mu` and notify.
+  StealScheduler pool(3);
+  EXPECT_EQ(pool.num_workers(), 3);
   for (int i = 0; i < 50; ++i) {
     pool.Submit([&] {
       if (done.fetch_add(1) + 1 == 50) {

@@ -24,8 +24,8 @@ TEST(IoTest, GraphRoundTrip) {
   std::stringstream ss;
   WriteTemporalGraph(ss, g, dict);
   LabelDict dict2;
-  auto back = ReadTemporalGraph(ss, dict2);
-  ASSERT_TRUE(back.has_value());
+  auto back = ParseTemporalGraph(ss, dict2);
+  ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->node_count(), 2u);
   EXPECT_EQ(back->edge_count(), 2u);
   EXPECT_EQ(dict2.Name(back->label(0)), "proc:bash");
@@ -43,8 +43,8 @@ TEST(IoTest, GraphRoundTripPreservesMatching) {
   WriteTemporalGraph(ss, g, dict);
   LabelDict dict2;
   for (int i = 0; i < 8; ++i) dict2.Intern("L" + std::to_string(i));
-  auto back = ReadTemporalGraph(ss, dict2);
-  ASSERT_TRUE(back.has_value());
+  auto back = ParseTemporalGraph(ss, dict2);
+  ASSERT_TRUE(back.ok());
   ASSERT_EQ(back->edge_count(), g.edge_count());
   for (std::size_t i = 0; i < g.edge_count(); ++i) {
     EXPECT_EQ(back->edge(static_cast<EdgePos>(i)),
@@ -60,8 +60,8 @@ TEST(IoTest, PatternRoundTrip) {
   std::stringstream ss;
   WritePattern(ss, p, dict);
   LabelDict dict2;
-  auto back = ReadPattern(ss, dict2);
-  ASSERT_TRUE(back.has_value());
+  auto back = ParsePattern(ss, dict2);
+  ASSERT_TRUE(back.ok());
   // Same structure under re-interned labels.
   EXPECT_EQ(back->node_count(), p.node_count());
   EXPECT_EQ(back->edge_count(), p.edge_count());
@@ -75,21 +75,21 @@ TEST(IoTest, PatternRoundTrip) {
 TEST(IoTest, RejectsBadHeader) {
   std::stringstream ss("garbage 1 1\n");
   LabelDict dict;
-  EXPECT_FALSE(ReadTemporalGraph(ss, dict).has_value());
+  EXPECT_FALSE(ParseTemporalGraph(ss, dict).ok());
   std::stringstream ss2("tgraph\n");
-  EXPECT_FALSE(ReadTemporalGraph(ss2, dict).has_value());
+  EXPECT_FALSE(ParseTemporalGraph(ss2, dict).ok());
 }
 
 TEST(IoTest, RejectsOutOfRangeNodeIds) {
   std::stringstream ss("tgraph 1 1\nn A\ne 0 7 5 <none>\n");
   LabelDict dict;
-  EXPECT_FALSE(ReadTemporalGraph(ss, dict).has_value());
+  EXPECT_FALSE(ParseTemporalGraph(ss, dict).ok());
 }
 
 TEST(IoTest, RejectsTruncatedInput) {
   std::stringstream ss("tgraph 2 2\nn A\nn B\ne 0 1 5 <none>\n");
   LabelDict dict;
-  EXPECT_FALSE(ReadTemporalGraph(ss, dict).has_value());
+  EXPECT_FALSE(ParseTemporalGraph(ss, dict).ok());
 }
 
 TEST(IoTest, PatternDotRendering) {
@@ -120,8 +120,7 @@ TEST(IoTest, TemporalGraphDotRendering) {
 }
 
 TEST(IoTest, ParseDiagnosticsAreLineNumbered) {
-  // The StatusOr parsers point at the offending line; the legacy Read*
-  // wrappers collapse the same failures to nullopt (covered above).
+  // The StatusOr parsers point at the offending line.
   LabelDict dict;
 
   std::stringstream bad_header("garbage 1 1\n");
@@ -204,10 +203,10 @@ TEST(IoTest, MultiplePatternsInOneStream) {
   WritePattern(ss, p1, dict);
   WritePattern(ss, p2, dict);
   LabelDict dict2;
-  auto r1 = ReadPattern(ss, dict2);
-  auto r2 = ReadPattern(ss, dict2);
-  ASSERT_TRUE(r1.has_value());
-  ASSERT_TRUE(r2.has_value());
+  auto r1 = ParsePattern(ss, dict2);
+  auto r2 = ParsePattern(ss, dict2);
+  ASSERT_TRUE(r1.ok());
+  ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1->edge_count(), 1u);
   EXPECT_EQ(r2->edge_count(), 2u);
 }

@@ -1,13 +1,10 @@
-// Shard-count determinism of the stream engine, across both sharding
-// modes. kQueryRoundRobin: every shard sees every event and each query
-// lives in exactly one shard. kEntityHash: partials are partitioned by
-// the entity their next transition requires and a central sequencer
-// routes probes through per-shard SPSC inboxes. Either way the merged
-// alert stream — order and content — plus drops and per-query stats must
-// be bit-identical across 1/2/4/8 shards and any batch size (mirroring
-// parallel_miner_test.cc's approach for the miner). The round-robin
-// serial run is the oracle for everything. The TSAN CI job runs this
-// suite to pin the batch fan-out / merge / inbox protocols race-free.
+// Shard-count determinism of the stream engine: every shard sees every
+// event and each query lives in exactly one shard, so the merged alert
+// stream — order and content — plus drops and per-query stats must be
+// bit-identical across 1/2/4 shards and any batch size (mirroring
+// parallel_miner_test.cc's approach for the miner). The serial run is the
+// oracle for everything. The TSAN CI job runs this suite to pin the batch
+// fan-out / merge protocol race-free.
 
 #include <gtest/gtest.h>
 
@@ -34,9 +31,6 @@ struct RunResult {
   std::vector<std::size_t> per_query_peak;
   std::vector<std::size_t> per_query_buckets;
   std::vector<std::size_t> per_query_wildcard;
-  /// Full snapshot, for mode-specific assertions (inbox depths, handoffs,
-  /// routing skew) that are *not* part of the cross-mode parity oracle.
-  EngineStats stats;
 };
 
 RunResult RunEngine(const StreamEngine::Options& options,
@@ -59,9 +53,9 @@ RunResult RunEngine(const StreamEngine::Options& options,
   engine.Flush(sink);
   result.live_partials = engine.PartialCount();
   result.dropped = engine.dropped_partials();
-  result.stats = engine.Stats();
-  result.seed_skips = result.stats.seed_skips;
-  for (const EngineQueryStats& q : result.stats.queries) {
+  const EngineStats stats = engine.Stats();
+  result.seed_skips = stats.seed_skips;
+  for (const EngineQueryStats& q : stats.queries) {
     result.per_query_drops.push_back(q.dropped_partials);
     result.per_query_alerts.push_back(q.alerts);
     result.per_query_live.push_back(q.live_partials);
@@ -86,14 +80,6 @@ void ExpectIdentical(const RunResult& want, const RunResult& got,
   EXPECT_EQ(want.per_query_peak, got.per_query_peak);
   EXPECT_EQ(want.per_query_buckets, got.per_query_buckets);
   EXPECT_EQ(want.per_query_wildcard, got.per_query_wildcard);
-}
-
-StreamEngine::Options EntityHash(StreamEngine::Options base, int num_shards,
-                                 std::size_t batch_size) {
-  base.sharding = ShardingMode::kEntityHash;
-  base.num_shards = num_shards;
-  base.batch_size = batch_size;
-  return base;
 }
 
 class StreamShardTest : public ::testing::TestWithParam<int> {
@@ -257,131 +243,6 @@ TEST_P(StreamShardTest, DegenerateConstraintsBitIdenticalToUnconstrained) {
   }
 }
 
-TEST_P(StreamShardTest, EntityHashParityWithRoundRobin) {
-  // The cross-mode oracle: entity-hash data partitioning must reproduce
-  // the round-robin serial run bit-for-bit — alerts, drops, and per-query
-  // stats — for every shard count and batch size, including 8 shards
-  // (more shards than queries, so some home shards hold no query at all).
-  BuildFixture(static_cast<std::uint64_t>(GetParam()) + 2500);
-  StreamEngine::Options base;
-  base.window = 40;
-
-  StreamEngine::Options serial = base;
-  serial.num_shards = 1;
-  serial.batch_size = 1;
-  RunResult want = RunEngine(serial, queries_, events_);
-  EXPECT_FALSE(want.alerts.empty());
-
-  for (int num_shards : {1, 2, 4, 8}) {
-    for (std::size_t batch_size : {std::size_t{1}, std::size_t{8}}) {
-      ExpectIdentical(
-          want,
-          RunEngine(EntityHash(base, num_shards, batch_size), queries_,
-                    events_),
-          num_shards, batch_size);
-    }
-  }
-}
-
-TEST_P(StreamShardTest, EntityHashConstrainedParity) {
-  // Timed-automata guards change routing-relevant behaviour (tighter
-  // expiries, label alternatives widening the seed dispatch), so the
-  // cross-mode oracle is pinned again with a guarded query mix — the
-  // persisted-artifact (tquery v2) execution path.
-  BuildFixture(static_cast<std::uint64_t>(GetParam()) + 2900);
-  std::vector<TemporalConstraints> constraints;
-  for (std::size_t q = 0; q < queries_.size(); ++q) {
-    TemporalConstraints c(queries_[q].edge_count());
-    switch (q % 4) {
-      case 0:  // plain (trivial annotation)
-        break;
-      case 1:
-        c.mutable_guard(1).max_gap = 25;
-        break;
-      case 2:
-        c.mutable_guard(1).min_gap = 1;
-        c.set_deadline(35);
-        break;
-      case 3:
-        c.mutable_guard(0).elabel_alts = {kNoEdgeLabel};
-        c.mutable_guard(1).max_since_seed = 30;
-        break;
-    }
-    c.Normalize();
-    constraints.push_back(std::move(c));
-  }
-
-  StreamEngine::Options base;
-  base.window = 40;
-
-  StreamEngine::Options serial = base;
-  serial.num_shards = 1;
-  serial.batch_size = 1;
-  RunResult want = RunEngine(serial, queries_, events_, constraints);
-
-  for (int num_shards : {1, 2, 4, 8}) {
-    for (std::size_t batch_size : {std::size_t{1}, std::size_t{8}}) {
-      ExpectIdentical(
-          want,
-          RunEngine(EntityHash(base, num_shards, batch_size), queries_,
-                    events_, constraints),
-          num_shards, batch_size);
-    }
-  }
-}
-
-TEST_P(StreamShardTest, EntityHashBackpressureParity) {
-  // Under a tight partial cap the eviction *victims* are observable
-  // through drops and survivors. The entity-hash sequencer owns the age
-  // order centrally, so eviction must pick the same victims as the
-  // single-table run regardless of which shards the partials live on.
-  BuildFixture(static_cast<std::uint64_t>(GetParam()) + 3300);
-  StreamEngine::Options base;
-  base.window = 40;
-  base.max_partials_per_query = 3;
-
-  StreamEngine::Options serial = base;
-  serial.num_shards = 1;
-  serial.batch_size = 1;
-  RunResult want = RunEngine(serial, queries_, events_);
-  EXPECT_GT(want.dropped, 0);  // the cap must actually bite
-
-  for (int num_shards : {1, 2, 4, 8}) {
-    for (std::size_t batch_size : {std::size_t{1}, std::size_t{4}}) {
-      ExpectIdentical(
-          want,
-          RunEngine(EntityHash(base, num_shards, batch_size), queries_,
-                    events_),
-          num_shards, batch_size);
-    }
-  }
-}
-
-TEST_P(StreamShardTest, EntityHashScanPathParity) {
-  // entity_index = false degrades every partial to the wildcard bucket;
-  // in entity-hash mode that pins all of a query's state to its home
-  // shard. The scan path must still reproduce the round-robin scan run.
-  BuildFixture(static_cast<std::uint64_t>(GetParam()) + 3700);
-  StreamEngine::Options base;
-  base.window = 40;
-  base.entity_index = false;
-
-  StreamEngine::Options serial = base;
-  serial.num_shards = 1;
-  serial.batch_size = 1;
-  RunResult want = RunEngine(serial, queries_, events_);
-
-  for (int num_shards : {2, 4}) {
-    for (std::size_t batch_size : {std::size_t{1}, std::size_t{8}}) {
-      ExpectIdentical(
-          want,
-          RunEngine(EntityHash(base, num_shards, batch_size), queries_,
-                    events_),
-          num_shards, batch_size);
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamShardTest, ::testing::Range(0, 6));
 
 TEST(StreamShardPlumbingTest, EveryShardSeesEveryEvent) {
@@ -419,107 +280,6 @@ TEST(StreamShardPlumbingTest, RoundRobinPartition) {
   }
 }
 
-/// A hub-and-spoke stream: entity 0 participates in three of every four
-/// events, so its bucket — and every partial waiting on it — hashes to
-/// one shard while extensions keep hopping to spoke entities on other
-/// shards. This is the adversarial fixture for entity-hash routing: heavy
-/// skew plus constant cross-shard partial handoff.
-std::vector<StreamEvent> HotEntityStream(int count) {
-  std::mt19937_64 rng(7);
-  std::vector<StreamEvent> events;
-  Timestamp ts = 1;
-  const auto label_of = [](std::int64_t e) {
-    return static_cast<LabelId>(e % 2);
-  };
-  for (int i = 0; i < count; ++i) {
-    std::int64_t a, b;
-    if (i % 4 != 3) {
-      a = 0;  // the hub
-      b = 1 + static_cast<std::int64_t>(rng() % 7);
-      if (rng() % 2 == 0) std::swap(a, b);
-    } else {
-      a = 1 + static_cast<std::int64_t>(rng() % 7);
-      b = 1 + static_cast<std::int64_t>(rng() % 7);
-      if (a == b) b = a % 7 + 1;
-    }
-    events.push_back(
-        StreamEvent{a, b, label_of(a), label_of(b), kNoEdgeLabel, ts});
-    ts += 1;
-  }
-  return events;
-}
-
-TEST(StreamShardEntityHashTest, HotEntityHandoffDeterminism) {
-  std::mt19937_64 rng(11);
-  std::vector<Pattern> queries;
-  for (int q = 0; q < 4; ++q) {
-    queries.push_back(tgm::testing::RandomPattern(rng, 3, 2));
-  }
-  std::vector<StreamEvent> events = HotEntityStream(240);
-
-  StreamEngine::Options base;
-  base.window = 60;
-
-  StreamEngine::Options serial = base;
-  serial.num_shards = 1;
-  serial.batch_size = 1;
-  RunResult want = RunEngine(serial, queries, events);
-  EXPECT_FALSE(want.alerts.empty());
-
-  for (int num_shards : {2, 4}) {
-    for (std::size_t batch_size : {std::size_t{1}, std::size_t{4}}) {
-      RunResult got =
-          RunEngine(EntityHash(base, num_shards, batch_size), queries, events);
-      ExpectIdentical(want, got, num_shards, batch_size);
-      // The fixture must actually exercise cross-shard handoff — partials
-      // produced by a probe on one shard whose next required entity
-      // hashes to another. (Equal per-run, not asserted equal across
-      // shard counts: placement depends on the shard count.)
-      EXPECT_GT(got.stats.handoffs, 0)
-          << "num_shards=" << num_shards << " batch_size=" << batch_size;
-    }
-  }
-}
-
-TEST(StreamShardEntityHashTest, ShardStatsRows) {
-  std::mt19937_64 rng(13);
-  std::vector<Pattern> queries;
-  for (int q = 0; q < 3; ++q) {
-    queries.push_back(tgm::testing::RandomPattern(rng, 2, 2));
-  }
-  std::vector<StreamEvent> events = HotEntityStream(120);
-
-  StreamEngine::Options base;
-  base.window = 60;
-
-  // Round-robin has no inboxes: no shard rows, skew still reported.
-  RunResult rr = RunEngine(base, queries, events);
-  EXPECT_TRUE(rr.stats.shards.empty());
-  EXPECT_GE(rr.stats.routing_skew, 1.0);
-
-  RunResult eh = RunEngine(EntityHash(base, 3, 4), queries, events);
-  ASSERT_EQ(eh.stats.shards.size(), 3u);
-  std::int64_t routed = 0;
-  std::int64_t handoffs = 0;
-  for (std::size_t s = 0; s < eh.stats.shards.size(); ++s) {
-    const EngineShardStats& row = eh.stats.shards[s];
-    EXPECT_EQ(row.shard, s);
-    // Stats() quiesces the shards first, so no ops can still be queued.
-    EXPECT_EQ(row.inbox_depth, 0u);
-    routed += row.events_routed;
-    handoffs += row.handoffs_in;
-  }
-  EXPECT_GT(routed, 0);
-  EXPECT_EQ(handoffs, eh.stats.handoffs);
-  // shard_events mirrors events_routed in entity-hash mode.
-  ASSERT_EQ(eh.stats.shard_events.size(), 3u);
-  for (std::size_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(eh.stats.shard_events[s], eh.stats.shards[s].events_routed);
-  }
-  // The hub concentrates probes on one shard: skew must be visible.
-  EXPECT_GE(eh.stats.routing_skew, 1.0);
-}
-
 // --- self-loop probe dedup (the double-extension regression) -----------
 //
 // The entity index files partials in one role-agnostic bucket map keyed
@@ -546,8 +306,7 @@ TEST(PartialTableSelfLoopTest, SelfLoopProbesBucketOnce) {
   EXPECT_EQ(visits, 2);
 }
 
-class SelfLoopExtensionTest
-    : public ::testing::TestWithParam<std::pair<ShardingMode, int>> {};
+class SelfLoopExtensionTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SelfLoopExtensionTest, SelfLoopEventExtendsPartialOnce) {
   // Query: A -[e0]-> B, B -[e1]-> B (self-loop), B -[e2]-> C. After the
@@ -556,13 +315,12 @@ TEST_P(SelfLoopExtensionTest, SelfLoopEventExtendsPartialOnce) {
   // would leave a duplicate partial behind (live 3, not 2) — the final
   // completion stays deduplicated either way, which is exactly why the
   // live count is the pin.
-  const auto [mode, num_shards] = GetParam();
+  const int num_shards = GetParam();
   Pattern p = Pattern::SingleEdge(0, 1).GrowInward(1, 1).GrowForward(1, 2);
 
   StreamEngine::Options options;
   options.window = 100;
   options.num_shards = num_shards;
-  options.sharding = mode;
   StreamEngine engine(options);
   engine.AddQuery(p);
 
@@ -581,13 +339,8 @@ TEST_P(SelfLoopExtensionTest, SelfLoopEventExtendsPartialOnce) {
   EXPECT_EQ(stats.queries[0].peak_partials, 2u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Modes, SelfLoopExtensionTest,
-    ::testing::Values(std::pair{ShardingMode::kQueryRoundRobin, 1},
-                      std::pair{ShardingMode::kQueryRoundRobin, 2},
-                      std::pair{ShardingMode::kEntityHash, 1},
-                      std::pair{ShardingMode::kEntityHash, 2},
-                      std::pair{ShardingMode::kEntityHash, 4}));
+INSTANTIATE_TEST_SUITE_P(ShardCounts, SelfLoopExtensionTest,
+                         ::testing::Values(1, 2));
 
 }  // namespace
 }  // namespace tgm
