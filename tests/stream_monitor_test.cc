@@ -1,6 +1,15 @@
-#include "query/stream_monitor.h"
+// Online monitoring match semantics of StreamEngine under its default
+// options (one shard, batch of one: every OnEvent is synchronous): ordered
+// chains, entity consistency, injectivity, window expiry, the per-query
+// partial cap, and agreement with the offline searcher.
+
+#include "query/stream/engine.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <random>
+#include <vector>
 
 #include "test_util.h"
 
@@ -15,9 +24,9 @@ StreamEvent Ev(std::int64_t src, std::int64_t dst, LabelId src_label,
   return StreamEvent{src, dst, src_label, dst_label, elabel, ts};
 }
 
-class StreamMonitorTest : public ::testing::Test {
+class StreamEngineMonitoringTest : public ::testing::Test {
  protected:
-  std::vector<StreamAlert> FeedAll(StreamMonitor& monitor,
+  std::vector<StreamAlert> FeedAll(StreamEngine& monitor,
                                    const std::vector<StreamEvent>& events) {
     std::vector<StreamAlert> alerts;
     for (const StreamEvent& e : events) {
@@ -29,10 +38,10 @@ class StreamMonitorTest : public ::testing::Test {
   }
 };
 
-TEST_F(StreamMonitorTest, DetectsOrderedChain) {
-  StreamMonitor::Options options;
+TEST_F(StreamEngineMonitoringTest, DetectsOrderedChain) {
+  StreamEngine::Options options;
   options.window = 100;
-  StreamMonitor monitor(options);
+  StreamEngine monitor(options);
   // Query: A(0) -> B(1), B -> C(2).
   monitor.AddQuery(MakePattern({0, 1, 2}, {{0, 1}, {1, 2}}));
   auto alerts = FeedAll(monitor, {
@@ -43,10 +52,10 @@ TEST_F(StreamMonitorTest, DetectsOrderedChain) {
   EXPECT_EQ(alerts[0].interval, (Interval{5, 15}));
 }
 
-TEST_F(StreamMonitorTest, IgnoresWrongOrder) {
-  StreamMonitor::Options options;
+TEST_F(StreamEngineMonitoringTest, IgnoresWrongOrder) {
+  StreamEngine::Options options;
   options.window = 100;
-  StreamMonitor monitor(options);
+  StreamEngine monitor(options);
   monitor.AddQuery(MakePattern({0, 1, 2}, {{0, 1}, {1, 2}}));
   auto alerts = FeedAll(monitor, {
                                      Ev(11, 12, 1, 2, 5),   // B->C first
@@ -55,10 +64,10 @@ TEST_F(StreamMonitorTest, IgnoresWrongOrder) {
   EXPECT_TRUE(alerts.empty());
 }
 
-TEST_F(StreamMonitorTest, WindowExpiresPartials) {
-  StreamMonitor::Options options;
+TEST_F(StreamEngineMonitoringTest, WindowExpiresPartials) {
+  StreamEngine::Options options;
   options.window = 50;
-  StreamMonitor monitor(options);
+  StreamEngine monitor(options);
   monitor.AddQuery(MakePattern({0, 1, 2}, {{0, 1}, {1, 2}}));
   auto alerts = FeedAll(monitor, {
                                      Ev(10, 11, 0, 1, 5),
@@ -70,10 +79,10 @@ TEST_F(StreamMonitorTest, WindowExpiresPartials) {
   EXPECT_EQ(monitor.PartialCount(), 0u);
 }
 
-TEST_F(StreamMonitorTest, EntityConsistencyRequired) {
-  StreamMonitor::Options options;
+TEST_F(StreamEngineMonitoringTest, EntityConsistencyRequired) {
+  StreamEngine::Options options;
   options.window = 100;
-  StreamMonitor monitor(options);
+  StreamEngine monitor(options);
   monitor.AddQuery(MakePattern({0, 1, 2}, {{0, 1}, {1, 2}}));
   // Second event's source is a *different* B-labeled entity.
   auto alerts = FeedAll(monitor, {
@@ -83,10 +92,10 @@ TEST_F(StreamMonitorTest, EntityConsistencyRequired) {
   EXPECT_TRUE(alerts.empty());
 }
 
-TEST_F(StreamMonitorTest, InjectivityEnforced) {
-  StreamMonitor::Options options;
+TEST_F(StreamEngineMonitoringTest, InjectivityEnforced) {
+  StreamEngine::Options options;
   options.window = 100;
-  StreamMonitor monitor(options);
+  StreamEngine monitor(options);
   // Query wants two distinct B nodes: A->B, A->B'.
   monitor.AddQuery(Pattern::SingleEdge(0, 1).GrowForward(0, 1));
   auto alerts = FeedAll(monitor, {
@@ -102,10 +111,10 @@ TEST_F(StreamMonitorTest, InjectivityEnforced) {
   EXPECT_EQ(alerts[1].interval, (Interval{15, 25}));
 }
 
-TEST_F(StreamMonitorTest, MultiEdgeQueriesNeedRepeatedEvents) {
-  StreamMonitor::Options options;
+TEST_F(StreamEngineMonitoringTest, MultiEdgeQueriesNeedRepeatedEvents) {
+  StreamEngine::Options options;
   options.window = 100;
-  StreamMonitor monitor(options);
+  StreamEngine monitor(options);
   monitor.AddQuery(Pattern::SingleEdge(0, 1).GrowInward(0, 1));
   auto first = FeedAll(monitor, {Ev(1, 2, 0, 1, 5)});
   EXPECT_TRUE(first.empty());
@@ -114,10 +123,10 @@ TEST_F(StreamMonitorTest, MultiEdgeQueriesNeedRepeatedEvents) {
   EXPECT_EQ(second[0].interval, (Interval{5, 9}));
 }
 
-TEST_F(StreamMonitorTest, MultipleQueriesIndependentAlerts) {
-  StreamMonitor::Options options;
+TEST_F(StreamEngineMonitoringTest, MultipleQueriesIndependentAlerts) {
+  StreamEngine::Options options;
   options.window = 100;
-  StreamMonitor monitor(options);
+  StreamEngine monitor(options);
   std::size_t q0 = monitor.AddQuery(MakePattern({0, 1}, {{0, 1}}));
   std::size_t q1 = monitor.AddQuery(MakePattern({1, 2}, {{0, 1}}));
   auto alerts = FeedAll(monitor, {
@@ -129,10 +138,10 @@ TEST_F(StreamMonitorTest, MultipleQueriesIndependentAlerts) {
   EXPECT_EQ(alerts[1].query_index, q1);
 }
 
-TEST_F(StreamMonitorTest, DuplicateIntervalsSuppressed) {
-  StreamMonitor::Options options;
+TEST_F(StreamEngineMonitoringTest, DuplicateIntervalsSuppressed) {
+  StreamEngine::Options options;
   options.window = 100;
-  StreamMonitor monitor(options);
+  StreamEngine monitor(options);
   // Two B entities both complete the chain with identical timestamps is
   // impossible on a stream (one event per call), but two different
   // bindings may complete at the same (first, last): A->B1, A->B2, then
@@ -145,7 +154,7 @@ TEST_F(StreamMonitorTest, DuplicateIntervalsSuppressed) {
   EXPECT_EQ(alerts.size(), 1u);
 }
 
-TEST_F(StreamMonitorTest, AgreesWithOfflineSearcher) {
+TEST_F(StreamEngineMonitoringTest, AgreesWithOfflineSearcher) {
   // Property: feeding a finalized log's edges in order produces exactly
   // the offline searcher's distinct match intervals.
   std::mt19937_64 rng(31);
@@ -159,9 +168,9 @@ TEST_F(StreamMonitorTest, AgreesWithOfflineSearcher) {
     std::vector<Interval> offline =
         TemporalQuerySearcher(search_options).Search(query, log);
 
-    StreamMonitor::Options monitor_options;
+    StreamEngine::Options monitor_options;
     monitor_options.window = 40;
-    StreamMonitor monitor(monitor_options);
+    StreamEngine monitor(monitor_options);
     monitor.AddQuery(query);
     std::vector<Interval> online;
     for (const TemporalEdge& e : log.edges()) {
@@ -177,7 +186,7 @@ TEST_F(StreamMonitorTest, AgreesWithOfflineSearcher) {
   }
 }
 
-TEST_F(StreamMonitorTest, LateExtensionDoesNotStrandExpiredPartials) {
+TEST_F(StreamEngineMonitoringTest, LateExtensionDoesNotStrandExpiredPartials) {
   // Regression: an extension inherits its base's first_ts but is appended
   // at the back of the partial list, so the list is not ordered by
   // first_ts. The old front-only expiry then never reached an expired
@@ -185,10 +194,10 @@ TEST_F(StreamMonitorTest, LateExtensionDoesNotStrandExpiredPartials) {
   // forever — inflating PartialCount and burning max_partials_per_query —
   // despite being unable to ever complete (the window check rejects all
   // its extensions).
-  StreamMonitor::Options options;
+  StreamEngine::Options options;
   options.window = 50;
   options.max_partials_per_query = 3;
-  StreamMonitor monitor(options);
+  StreamEngine monitor(options);
   // Query: A(0)->B(1), B->C(2), C->D(3) — three edges, so one extension
   // still leaves an (uncompletable once expired) partial behind.
   monitor.AddQuery(MakePattern({0, 1, 2, 3}, {{0, 1}, {1, 2}, {2, 3}}));
@@ -221,13 +230,13 @@ TEST_F(StreamMonitorTest, LateExtensionDoesNotStrandExpiredPartials) {
   EXPECT_EQ(done[0].interval, (Interval{60, 62}));
 }
 
-TEST_F(StreamMonitorTest, ExpiredExtensionsFreeCapForLiveWork) {
+TEST_F(StreamEngineMonitoringTest, ExpiredExtensionsFreeCapForLiveWork) {
   // Same stranding setup, but measuring the cap: after expiry the slots
   // held by dead partials must be reusable.
-  StreamMonitor::Options options;
+  StreamEngine::Options options;
   options.window = 10;
   options.max_partials_per_query = 3;
-  StreamMonitor monitor(options);
+  StreamEngine monitor(options);
   monitor.AddQuery(MakePattern({0, 1, 2, 3}, {{0, 1}, {1, 2}, {2, 3}}));
 
   FeedAll(monitor, {
@@ -247,11 +256,11 @@ TEST_F(StreamMonitorTest, ExpiredExtensionsFreeCapForLiveWork) {
   EXPECT_EQ(monitor.dropped_partials(), 0);
 }
 
-TEST_F(StreamMonitorTest, PartialCapCountsDrops) {
-  StreamMonitor::Options options;
+TEST_F(StreamEngineMonitoringTest, PartialCapCountsDrops) {
+  StreamEngine::Options options;
   options.window = 1000000;
   options.max_partials_per_query = 3;
-  StreamMonitor monitor(options);
+  StreamEngine monitor(options);
   monitor.AddQuery(MakePattern({0, 1, 2}, {{0, 1}, {1, 2}}));
   std::vector<StreamEvent> events;
   for (int i = 0; i < 10; ++i) {
