@@ -154,12 +154,13 @@ inline PipelineConfig DefaultPipelineConfig(const Flags& flags) {
   config.dataset.gen.size_scale = flags.GetDouble("scale", 1.0);
   config.query_size = static_cast<int>(flags.GetInt("query_size", 6));
   config.miner.max_millis = flags.GetInt("mine_budget_ms", 120000);
-  // Threads for the miner's parallel work; results are bit-identical
-  // across values unless the mine_budget_ms wall-clock cutoff triggers
-  // (see MinerConfig::num_threads). 0 = all hardware threads. With
-  // --root_batch=N (default 1: exact serial search) whole root subtrees
-  // run concurrently in batches of N; results then depend on N (but still
-  // not on --threads), so keep it fixed when comparing runs.
+  // Threads for mining root subtrees concurrently; 0 = all hardware
+  // threads. They take effect only with --root_batch=N for N > 1 (the
+  // default 1 is the exact serial search): whole root subtrees then run
+  // concurrently in batches of N, and results depend on N but not on
+  // --threads unless the mine_budget_ms wall-clock cutoff triggers (see
+  // MinerConfig::num_threads). Keep --root_batch fixed when comparing
+  // runs.
   config.miner.num_threads =
       static_cast<int>(flags.GetInt("threads", 1, 0, 4096));
   config.miner.root_batch =

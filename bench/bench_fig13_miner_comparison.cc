@@ -44,19 +44,18 @@ int main(int argc, char** argv) {
   std::string class_filter = flags.GetString("classes", "");
   std::string json_out = flags.GetString("json_out", "");
   bench::JsonBenchWriter json;
-  // Threads for every miner's parallel work. With the default
-  // --root_batch=16 the DFS itself runs across root subtrees on the pool:
-  // subtrees are mined in fixed batches of 16 with per-worker registries
-  // committed in ascending root order, so for runs that finish within
-  // --budget_ms the mined results are bit-identical across --threads
-  // values and only the response times change. TIMEOUT rows truncate at a
-  // timing-dependent point, so their results may differ per thread count.
-  // --root_batch=1 recovers the exact serial search (inner-loop
-  // parallelism only) and --root_batch=0 auto-sizes batches from the
-  // thread count (adaptive; repeatable per thread count but not
-  // comparable across thread counts); note results are comparable across
-  // runs only for equal --root_batch, which is therefore recorded in the
-  // JSON payload.
+  // Threads for mining root subtrees concurrently. With the default
+  // --root_batch=16 root subtrees are mined in fixed batches of 16 on the
+  // pool with per-worker registries committed in ascending root order, so
+  // for runs that finish within --budget_ms the mined results are
+  // bit-identical across --threads values and only the response times
+  // change. TIMEOUT rows truncate at a timing-dependent point, so their
+  // results may differ per thread count. --root_batch=1 is the exact
+  // serial search (--threads then has no effect) and --root_batch=0
+  // auto-sizes batches from the thread count (adaptive; repeatable per
+  // thread count but not comparable across thread counts); note results
+  // are comparable across runs only for equal --root_batch, which is
+  // therefore recorded in the JSON payload.
   int num_threads = static_cast<int>(flags.GetInt("threads", 1, 0, 4096));
   int root_batch = static_cast<int>(flags.GetInt("root_batch", 16, 0, 4096));
 

@@ -94,9 +94,10 @@ class MinerConfigBuilder {
           "num_threads must be >= 0 (0 = all hardware threads), got " +
           std::to_string(config_.num_threads));
     }
-    if (config_.root_batch < 1) {
-      return Status::InvalidArgument("root_batch must be >= 1, got " +
-                                     std::to_string(config_.root_batch));
+    if (config_.root_batch < 0) {
+      return Status::InvalidArgument(
+          "root_batch must be >= 0 (0 = adaptive), got " +
+          std::to_string(config_.root_batch));
     }
     if (config_.max_embeddings_per_graph < 0 || config_.max_visited < 0 ||
         config_.max_millis < 0) {

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <optional>
 
 #include "base/invariants.h"
-#include "exec/parallel_for.h"
 #include "mining/key_index.h"
 
 namespace tgm {
@@ -18,12 +16,6 @@ NodeId FindMappedNode(const NodeSeq& nodes, NodeId data_node) {
     if (nodes[i] == data_node) return static_cast<NodeId>(i);
   }
   return kNewNode;
-}
-
-std::size_t CountEmbeddings(const EmbeddingTable& table) {
-  std::size_t n = 0;
-  for (const GraphEmbeddings& ge : table) n += ge.embeds.size();
-  return n;
 }
 
 /// Number of entries in an ascending position list that lie strictly after
@@ -44,7 +36,11 @@ Miner::Miner(const MinerConfig& config,
       neg_graphs_(std::move(negatives)),
       score_(config.score_kind, static_cast<std::int64_t>(pos_graphs_.size()),
              static_cast<std::int64_t>(neg_graphs_.size()), config.epsilon),
-      pool_(ResolveNumThreads(config.num_threads) > 1
+      // Root subtrees are the only parallel unit, so threads are started
+      // only when batches can hold more than one subtree (root_batch 0 or
+      // > 1; negatives clamp to the serial 1).
+      pool_(ResolveNumThreads(config.num_threads) > 1 &&
+                    (config.root_batch == 0 || config.root_batch > 1)
                 ? std::make_unique<StealScheduler>(
                       ResolveNumThreads(config.num_threads) - 1)
                 : nullptr),
@@ -75,51 +71,21 @@ Miner::Miner(const MinerConfig& config,
               return ptrs;
             }()) {}
 
-std::int64_t Miner::DedupeAndCapGraph(GraphEmbeddings& ge) const {
-  std::sort(ge.embeds.begin(), ge.embeds.end());
-  ge.embeds.erase(std::unique(ge.embeds.begin(), ge.embeds.end()),
-                  ge.embeds.end());
-  if (config_.max_embeddings_per_graph > 0 &&
-      static_cast<std::int64_t>(ge.embeds.size()) >
-          config_.max_embeddings_per_graph) {
-    ge.embeds.resize(
-        static_cast<std::size_t>(config_.max_embeddings_per_graph));
-    return 1;
-  }
-  return 0;
-}
-
 std::int64_t Miner::DedupeAndCap(EmbeddingTable& table) const {
   std::int64_t cap_hits = 0;
-  for (GraphEmbeddings& ge : table) cap_hits += DedupeAndCapGraph(ge);
-  return cap_hits;
-}
-
-void Miner::DedupeAndCapAll(StealScheduler* pool,
-                            const std::vector<EmbeddingTable*>& tables,
-                            std::int64_t* cap_hits) const {
-  std::size_t total_embeddings = 0;
-  for (const EmbeddingTable* table : tables) {
-    total_embeddings += CountEmbeddings(*table);
-  }
-  if (pool == nullptr ||
-      static_cast<std::int64_t>(total_embeddings) <
-          config_.parallel_min_embeddings) {
-    for (EmbeddingTable* table : tables) {
-      *cap_hits += DedupeAndCap(*table);
+  for (GraphEmbeddings& ge : table) {
+    std::sort(ge.embeds.begin(), ge.embeds.end());
+    ge.embeds.erase(std::unique(ge.embeds.begin(), ge.embeds.end()),
+                    ge.embeds.end());
+    if (config_.max_embeddings_per_graph > 0 &&
+        static_cast<std::int64_t>(ge.embeds.size()) >
+            config_.max_embeddings_per_graph) {
+      ge.embeds.resize(
+          static_cast<std::size_t>(config_.max_embeddings_per_graph));
+      ++cap_hits;
     }
-    return;
   }
-  // One unit per (table, graph) entry so a single large child still
-  // spreads across the pool. Cap hits are folded in index order.
-  std::vector<GraphEmbeddings*> units;
-  for (EmbeddingTable* table : tables) {
-    for (GraphEmbeddings& ge : *table) units.push_back(&ge);
-  }
-  std::vector<std::int64_t> hits(units.size(), 0);
-  ParallelFor(pool, units.size(),
-              [&](std::size_t i) { hits[i] = DedupeAndCapGraph(*units[i]); });
-  for (std::int64_t h : hits) *cap_hits += h;
+  return cap_hits;
 }
 
 void Miner::ReleaseTable(EmbeddingTable& table) {
@@ -278,31 +244,14 @@ void Miner::CollectGraphExtensions(const GraphEmbeddings& ge,
   if (use_node_slot) ScratchPool<NodeId>::Release(std::move(node_slot));
 }
 
-void Miner::CollectExtensions(StealScheduler* pool, const EmbeddingTable& table,
+void Miner::CollectExtensions(const EmbeddingTable& table,
                               const std::vector<const TemporalGraph*>& graphs,
                               bool positive_side,
                               std::vector<KeyedEmbeds>& out) const {
   std::size_t first = out.size();
-  if (pool != nullptr && table.size() > 1 &&
-      static_cast<std::int64_t>(CountEmbeddings(table)) >=
-          config_.parallel_min_embeddings) {
-    // Each graph's contribution is computed independently in parallel and
-    // appended in ascending graph order — the exact order the serial loop
-    // visits graphs — so `out` is identical for every thread count.
-    std::vector<std::vector<KeyedEmbeds>> per_graph(table.size());
-    ParallelFor(pool, table.size(), [&](std::size_t i) {
-      const GraphEmbeddings& ge = table[i];
-      CollectGraphExtensions(ge, *graphs[static_cast<std::size_t>(ge.graph)],
-                             per_graph[i]);
-    });
-    for (std::vector<KeyedEmbeds>& runs : per_graph) {
-      for (KeyedEmbeds& run : runs) out.push_back(std::move(run));
-    }
-  } else {
-    for (const GraphEmbeddings& ge : table) {
-      CollectGraphExtensions(ge, *graphs[static_cast<std::size_t>(ge.graph)],
-                             out);
-    }
+  for (const GraphEmbeddings& ge : table) {
+    CollectGraphExtensions(ge, *graphs[static_cast<std::size_t>(ge.graph)],
+                           out);
   }
   for (std::size_t i = first; i < out.size(); ++i) {
     out[i].positive = positive_side;
@@ -428,179 +377,9 @@ void Miner::CommitTopEntry(MinedPattern mined) {
   if (static_cast<int>(top_.size()) > config_.top_k) top_.pop_back();
 }
 
-std::int64_t Miner::CollectPruneCandidates(
-    const WorkerState& ws, std::int64_t pos_i_value,
-    const std::vector<std::pair<std::int32_t, EdgePos>>& pos_cuts,
-    std::vector<PruneCandidate>& out) const {
-  // Same committed-then-local order and counting as ForEachCandidate, but
-  // into a materialized list: cum_equiv_tests snapshots the counter at each
-  // candidate so an early-exit scan's charges can be replayed afterwards.
-  std::int64_t equiv_tests = 0;
-  auto sink = [&](const PatternRegistry::CandidateMeta& meta,
-                  const RegisteredPattern& entry) {
-    out.push_back(PruneCandidate{&meta, &entry, equiv_tests});
-    return true;
-  };
-  ws.committed->ForEachPosCandidate(pos_i_value, pos_cuts, &equiv_tests, sink);
-  ws.local.ForEachPosCandidate(pos_i_value, pos_cuts, &equiv_tests, sink);
-  return equiv_tests;
-}
-
-std::unique_ptr<TemporalSubgraphTester> Miner::AcquireLaneTester() {
-  {
-    MutexLock lock(lane_tester_mu_);
-    if (!lane_testers_.empty()) {
-      std::unique_ptr<TemporalSubgraphTester> tester =
-          std::move(lane_testers_.back());
-      lane_testers_.pop_back();
-      return tester;
-    }
-  }
-  return MakeTester(config_.subgraph_algo);
-}
-
-void Miner::ReleaseLaneTester(std::unique_ptr<TemporalSubgraphTester> tester) {
-  MutexLock lock(lane_tester_mu_);
-  lane_testers_.push_back(std::move(tester));
-}
-
-std::size_t Miner::FanOutFirstTrigger(
-    StealScheduler* pool, std::size_t n,
-    const std::function<bool(std::size_t, TemporalSubgraphTester&)>& test) {
-  // Chunk boundaries are a pure function of (n, workers) — never of
-  // timing — and each chunk borrows one tester for its whole range, so
-  // the memoizing testers see runs of candidates instead of singletons.
-  //
-  // `first_trigger` holds the smallest index that triggered so far. It
-  // only ever decreases, so any lane it causes to be skipped lies past
-  // the final value — exactly the lanes a serial early-exit scan never
-  // reaches — and every index below the final value was tested. The
-  // returned index therefore equals the serial stop for every schedule.
-  const std::size_t chunks =
-      std::min(n, (static_cast<std::size_t>(pool->num_workers()) + 1) * 2);
-  const std::size_t base = n / chunks;
-  const std::size_t rem = n % chunks;
-  auto chunk_begin = [base, rem](std::size_t c) {
-    return c * base + std::min(c, rem);
-  };
-  std::atomic<std::size_t> first_trigger{n};
-  auto run_chunk = [&](std::size_t c) {
-    const std::size_t begin = chunk_begin(c);
-    const std::size_t end = chunk_begin(c + 1);
-    if (begin > first_trigger.load(std::memory_order_acquire)) return;
-    std::unique_ptr<TemporalSubgraphTester> tester = AcquireLaneTester();
-    for (std::size_t s = begin; s < end; ++s) {
-      if (s > first_trigger.load(std::memory_order_acquire)) break;
-      if (test(s, *tester)) {
-        std::size_t cur = first_trigger.load(std::memory_order_acquire);
-        while (s < cur && !first_trigger.compare_exchange_weak(
-                              cur, s, std::memory_order_acq_rel)) {
-        }
-        break;  // later indices in this chunk are past the trigger
-      }
-    }
-    ReleaseLaneTester(std::move(tester));
-  };
-  TaskGroup group(pool);
-  for (std::size_t c = 1; c < chunks; ++c) {
-    group.Run([&run_chunk, c] { run_chunk(c); });
-  }
-  run_chunk(0);
-  group.Wait();
-  return first_trigger.load(std::memory_order_acquire);
-}
-
 bool Miner::TrySubgraphPrune(WorkerState& ws, const Pattern& pattern,
                              const ResidualSet& pos_res,
                              double* inherited_bound) {
-  if (ws.pool != nullptr && ws.pool->num_workers() > 0 &&
-      static_cast<std::int64_t>(
-          ws.committed->PosCandidateCountBound(pos_res.i_value()) +
-          ws.local.PosCandidateCountBound(pos_res.i_value())) >=
-          std::max<std::int64_t>(2, config_.parallel_min_prune_candidates)) {
-    // Pooled pass: materialize the candidate stream, apply the cheap gates
-    // serially in candidate order, fan the expensive mapping tests out,
-    // then charge the counters exactly as the serial early-exit scan would
-    // have — so search-shape stats stay bit-identical to a serial run.
-    // With no workers the streaming path below is strictly cheaper (it
-    // stops enumerating at the first trigger), so this pass requires a
-    // pool that can actually overlap the tests — and a candidate bucket at
-    // least the fan-out floor deep, checked on the O(1) count bound so the
-    // (common) shallow passes never pay for materialization at all.
-    std::vector<PruneCandidate> cands;
-    const std::int64_t total_equiv =
-        CollectPruneCandidates(ws, pos_res.i_value(), pos_res.cuts(), cands);
-    std::vector<std::size_t> survivors;
-    for (std::size_t c = 0; c < cands.size(); ++c) {
-      const PatternRegistry::CandidateMeta& meta = *cands[c].meta;
-      if (config_.check_reference_score_first &&
-          meta.branch_best >= ws.best_score) {
-        continue;
-      }
-      if (static_cast<std::int32_t>(pattern.edge_count()) > meta.edge_count) {
-        continue;
-      }
-      survivors.push_back(c);
-    }
-
-    // The verdict for one survivor — the serial lambda body after its
-    // gates: a mapping exists, condition (3) holds, and the reference
-    // branch's best stays below the current best. A pure function of the
-    // candidate (ws.best_score is constant for the whole pass).
-    auto test_survivor = [&](std::size_t s, TemporalSubgraphTester& tester,
-                             std::vector<char>& mapped) {
-      const PruneCandidate& cand = cands[survivors[s]];
-      auto mapping = tester.FindMapping(pattern, cand.entry->pattern);
-      if (!mapping.has_value()) return false;
-      mapped.assign(static_cast<std::size_t>(cand.meta->node_count), 0);
-      for (NodeId target : *mapping) {
-        mapped[static_cast<std::size_t>(target)] = 1;
-      }
-      for (std::size_t v = 0; v < mapped.size(); ++v) {
-        if (mapped[v] != 0) continue;
-        LabelId l = cand.entry->pattern.label(static_cast<NodeId>(v));
-        if (pos_res.ResidualLabelSetContains(l, pos_graphs_)) return false;
-      }
-      return cand.meta->branch_best < ws.best_score;
-    };
-
-    std::size_t stop_s = survivors.size();
-    if (static_cast<std::int64_t>(survivors.size()) >=
-        std::max<std::int64_t>(2, config_.parallel_min_prune_candidates)) {
-      stop_s = FanOutFirstTrigger(
-          ws.pool, survivors.size(),
-          [&](std::size_t s, TemporalSubgraphTester& tester) {
-            std::vector<char> mapped = ScratchPool<char>::Acquire();
-            const bool hit = test_survivor(s, tester, mapped);
-            ScratchPool<char>::Release(std::move(mapped));
-            return hit;
-          });
-    } else {
-      for (std::size_t s = 0; s < survivors.size(); ++s) {
-        if (test_survivor(s, *ws.tester, ws.mapped_scratch)) {
-          stop_s = s;
-          break;
-        }
-      }
-    }
-
-    // Counter replay: a serial scan stopping at the triggering candidate
-    // charges its cumulative enumeration count and one subgraph test per
-    // survivor reached; a full scan charges the totals. Tests the fan-out
-    // ran beyond the stop index are speculative waste, never stats.
-    const bool pruned = stop_s < survivors.size();
-    if (pruned) {
-      const PruneCandidate& cand = cands[survivors[stop_s]];
-      ws.stats.residual_equiv_tests += cand.cum_equiv_tests;
-      ws.stats.subgraph_tests += static_cast<std::int64_t>(stop_s) + 1;
-      *inherited_bound = cand.meta->branch_best;
-    } else {
-      ws.stats.residual_equiv_tests += total_equiv;
-      ws.stats.subgraph_tests += static_cast<std::int64_t>(survivors.size());
-    }
-    return pruned;
-  }
-
   bool pruned = false;
   ForEachCandidate(
       ws, pos_res.i_value(), pos_res.cuts(), &ws.stats.residual_equiv_tests,
@@ -648,82 +427,6 @@ bool Miner::TrySupergraphPrune(WorkerState& ws, const Pattern& pattern,
                                const ResidualSet& pos_res,
                                const ResidualSet& neg_res,
                                double* inherited_bound) {
-  if (ws.pool != nullptr && ws.pool->num_workers() > 0 &&
-      static_cast<std::int64_t>(
-          ws.committed->PosCandidateCountBound(pos_res.i_value()) +
-          ws.local.PosCandidateCountBound(pos_res.i_value())) >=
-          std::max<std::int64_t>(2, config_.parallel_min_prune_candidates)) {
-    // Pooled pass, mirroring TrySubgraphPrune (including its O(1)
-    // count-bound gate above). The neg-residual
-    // equivalence check is cheap, so it stays in the serial gate phase;
-    // `extra` replays its per-candidate counter increment (the serial path
-    // charges one residual_equiv_tests per candidate that reaches the
-    // check, before knowing the outcome).
-    std::vector<PruneCandidate> cands;
-    const std::int64_t total_equiv =
-        CollectPruneCandidates(ws, pos_res.i_value(), pos_res.cuts(), cands);
-    std::vector<std::size_t> survivors;
-    std::vector<std::int64_t> survivor_extra;
-    std::int64_t extra = 0;
-    for (std::size_t c = 0; c < cands.size(); ++c) {
-      const PatternRegistry::CandidateMeta& meta = *cands[c].meta;
-      if (config_.check_reference_score_first &&
-          meta.branch_best >= ws.best_score) {
-        continue;
-      }
-      if (meta.node_count != static_cast<std::int32_t>(pattern.node_count())) {
-        continue;
-      }
-      if (meta.edge_count > static_cast<std::int32_t>(pattern.edge_count())) {
-        continue;
-      }
-      ++extra;
-      if (ws.local.algo() == ResidualEquivAlgo::kIValue) {
-        if (meta.neg_i_value != neg_res.i_value()) continue;
-      } else {
-        if (cands[c].entry->neg_cuts != neg_res.cuts()) continue;
-      }
-      survivors.push_back(c);
-      survivor_extra.push_back(extra);
-    }
-
-    auto test_survivor = [&](std::size_t s, TemporalSubgraphTester& tester) {
-      const PruneCandidate& cand = cands[survivors[s]];
-      if (!tester.Contains(cand.entry->pattern, pattern)) return false;
-      return cand.meta->branch_best < ws.best_score;
-    };
-
-    std::size_t stop_s = survivors.size();
-    if (static_cast<std::int64_t>(survivors.size()) >=
-        std::max<std::int64_t>(2, config_.parallel_min_prune_candidates)) {
-      stop_s = FanOutFirstTrigger(
-          ws.pool, survivors.size(),
-          [&](std::size_t s, TemporalSubgraphTester& tester) {
-            return test_survivor(s, tester);
-          });
-    } else {
-      for (std::size_t s = 0; s < survivors.size(); ++s) {
-        if (test_survivor(s, *ws.tester)) {
-          stop_s = s;
-          break;
-        }
-      }
-    }
-
-    const bool pruned = stop_s < survivors.size();
-    if (pruned) {
-      const PruneCandidate& cand = cands[survivors[stop_s]];
-      ws.stats.residual_equiv_tests +=
-          cand.cum_equiv_tests + survivor_extra[stop_s];
-      ws.stats.subgraph_tests += static_cast<std::int64_t>(stop_s) + 1;
-      *inherited_bound = cand.meta->branch_best;
-    } else {
-      ws.stats.residual_equiv_tests += total_equiv + extra;
-      ws.stats.subgraph_tests += static_cast<std::int64_t>(survivors.size());
-    }
-    return pruned;
-  }
-
   bool pruned = false;
   ForEachCandidate(
       ws, pos_res.i_value(), pos_res.cuts(), &ws.stats.residual_equiv_tests,
@@ -818,28 +521,8 @@ double Miner::Dfs(WorkerState& ws, const Pattern& pattern,
     return own_score;
   }
 
-  // Residual sets for the two sides are independent pure functions of
-  // their tables, so with a pool (and enough embeddings to amortize a
-  // task) the negative side builds as a stealable sub-task while this
-  // thread builds the positive side. ResidualSet has no default
-  // constructor, hence the optionals.
-  std::optional<ResidualSet> pos_res_opt;
-  std::optional<ResidualSet> neg_res_opt;
-  if (ws.pool != nullptr &&
-      static_cast<std::int64_t>(CountEmbeddings(pos_table) +
-                                CountEmbeddings(neg_table)) >=
-          config_.parallel_min_embeddings) {
-    TaskGroup residual_group(ws.pool);
-    residual_group.Run(
-        [&] { neg_res_opt.emplace(BuildResidual(neg_table, neg_graphs_)); });
-    pos_res_opt.emplace(BuildResidual(pos_table, pos_graphs_));
-    residual_group.Wait();
-  } else {
-    pos_res_opt.emplace(BuildResidual(pos_table, pos_graphs_));
-    neg_res_opt.emplace(BuildResidual(neg_table, neg_graphs_));
-  }
-  const ResidualSet& pos_res = *pos_res_opt;
-  const ResidualSet& neg_res = *neg_res_opt;
+  const ResidualSet pos_res = BuildResidual(pos_table, pos_graphs_);
+  const ResidualSet neg_res = BuildResidual(neg_table, neg_graphs_);
 
   double inherited = 0.0;
   if (config_.use_subgraph_pruning &&
@@ -857,10 +540,8 @@ double Miner::Dfs(WorkerState& ws, const Pattern& pattern,
 
   ++ws.stats.patterns_expanded;
   std::vector<KeyedEmbeds> runs = ScratchPool<KeyedEmbeds>::Acquire();
-  CollectExtensions(ws.pool, pos_table, pos_graphs_, /*positive_side=*/true,
-                    runs);
-  CollectExtensions(ws.pool, neg_table, neg_graphs_, /*positive_side=*/false,
-                    runs);
+  CollectExtensions(pos_table, pos_graphs_, /*positive_side=*/true, runs);
+  CollectExtensions(neg_table, neg_graphs_, /*positive_side=*/false, runs);
   // The parent's embeddings have been copied into the child streams;
   // recycle the buffers for the levels below.
   ReleaseTable(pos_table);
@@ -869,31 +550,13 @@ double Miner::Dfs(WorkerState& ws, const Pattern& pattern,
   std::vector<ChildWork> children = BuildChildren(runs);
   ScratchPool<KeyedEmbeds>::Release(std::move(runs));
 
-  // With a pool, per-graph embedding evaluation for every child happens up
-  // front, in parallel across (child, graph) units; the recursion below
-  // then visits children in the exact serial order with all pruning state
-  // sequential. Serial runs keep the seed's lazy per-child dedupe so a
-  // budget break skips the work for children that are never visited (the
-  // parallel pre-pass may therefore count cap hits for unvisited children
-  // on budget-truncated runs; ranked results are unaffected).
-  const bool prededuped = ws.pool != nullptr && !BudgetExhausted(ws);
-  if (prededuped) {
-    std::vector<EmbeddingTable*> child_tables;
-    child_tables.reserve(children.size() * 2);
-    for (ChildWork& child : children) {
-      child_tables.push_back(&child.buckets.pos);
-      child_tables.push_back(&child.buckets.neg);
-    }
-    DedupeAndCapAll(ws.pool, child_tables, &ws.stats.embedding_cap_hits);
-  }
-
+  // Each child is deduped lazily, right before its visit, so a budget
+  // break skips (and never counts cap hits for) unvisited children.
   double branch_best = own_score;
   for (ChildWork& child : children) {
     Pattern grown = Grow(pattern, child.key);
-    if (!prededuped) {
-      ws.stats.embedding_cap_hits += DedupeAndCap(child.buckets.pos);
-      ws.stats.embedding_cap_hits += DedupeAndCap(child.buckets.neg);
-    }
+    ws.stats.embedding_cap_hits += DedupeAndCap(child.buckets.pos);
+    ws.stats.embedding_cap_hits += DedupeAndCap(child.buckets.neg);
     double sub = Dfs(ws, grown, child.buckets.pos, child.buckets.neg);
     // Paths that return before expanding leave their tables populated;
     // recycle them here so every level reuses warmed buffers.
@@ -982,10 +645,6 @@ Miner::WorkerState Miner::MakeWorker(std::size_t batch_size) {
   ws.top = top_;
   ws.best_score = best_score_;
   ws.committed_visited = stats_.patterns_visited;
-  // Every worker drives the inner-loop scheduler: its helping joins make
-  // nested parallel regions inside subtree tasks safe, so concurrent
-  // subtrees simply share the steal pool.
-  ws.pool = pool_.get();
   if (batch_size <= 1) {
     // Nothing runs concurrently with a single-subtree batch, so the worker
     // may share the miner's memoizing tester (keeping the serial search's
@@ -1101,7 +760,7 @@ MineResult Miner::Mine() {
   // is a pure function of (inputs, root_batch), independent of thread
   // count, steal order, and scheduling. With root_batch == 1 (the default)
   // each snapshot holds every earlier root and the search is exactly the
-  // serial DFS dispatch, including the inner-loop pool use.
+  // serial DFS dispatch.
   const std::size_t batch_size = ResolveRootBatch(work.size());
   for (std::size_t begin = 0; begin < work.size(); begin += batch_size) {
     // Budget check between batches (the first batch always runs, as the
@@ -1109,27 +768,19 @@ MineResult Miner::Mine() {
     if (begin > 0 && CommittedBudgetExhausted()) break;
     const std::size_t n = std::min(batch_size, work.size() - begin);
 
-    // Root-bucket preparation for this batch, data-parallel across
-    // (root, graph) units when pooled — never for roots a budget break
-    // would leave unvisited.
-    std::vector<EmbeddingTable*> root_tables;
-    root_tables.reserve(n * 2);
-    for (std::size_t i = 0; i < n; ++i) {
-      root_tables.push_back(&work[begin + i].buckets.pos);
-      root_tables.push_back(&work[begin + i].buckets.neg);
-    }
-    DedupeAndCapAll(pool_.get(), root_tables, &stats_.embedding_cap_hits);
-
     std::vector<WorkerState> workers;
     workers.reserve(n);
     for (std::size_t i = 0; i < n; ++i) workers.push_back(MakeWorker(n));
 
     // One stealable task per root subtree; root 0 runs on this thread and
     // the join helps-steal pending siblings, so single-subtree batches
-    // (n == 1) run entirely inline.
+    // (n == 1) run entirely inline. Each task dedupes its own root buckets
+    // (the cap hits land in its stats and commit in root order).
     auto mine_root = [&](std::size_t i) {
       WorkerState& ws = workers[i];
       ChildWork& w = work[begin + i];
+      ws.stats.embedding_cap_hits += DedupeAndCap(w.buckets.pos);
+      ws.stats.embedding_cap_hits += DedupeAndCap(w.buckets.neg);
       Pattern root = Pattern::SingleEdge(w.key.src_label, w.key.dst_label,
                                          w.key.elabel);
       Dfs(ws, root, w.buckets.pos, w.buckets.neg);

@@ -3,11 +3,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <vector>
 
-#include "base/mutex.h"
 #include "exec/work_stealing.h"
 #include "matching/matcher.h"
 #include "mining/arena.h"
@@ -68,38 +66,28 @@ using EmbeddingTable = std::vector<GraphEmbeddings>;
 /// (Lemma 6) or linear scans, and temporal subgraph tests via the
 /// configured matcher.
 ///
-/// Parallelism: two levels, both deterministic for every thread count.
+/// Parallelism: root subtrees (`MinerConfig::root_batch != 1` with
+/// `num_threads > 1`). The root buckets are independent subtrees of the
+/// pattern-space tree, mined in batches of stealable tasks — one task per
+/// root, so a worker that finishes an easy subtree steals a pending one
+/// instead of the batch joining on its slowest member. Each task runs the
+/// serial DFS on its own WorkerState — thread-local PatternRegistry, top-k
+/// list, MinerStats, subgraph tester, and scratch — seeded from a
+/// read-only snapshot of the registry/top/best-score committed by earlier
+/// batches. When the batch joins, worker results are committed in
+/// ascending root-bucket order: registries are absorbed, top-k insertions
+/// are replayed, and stats are summed. Batch membership and snapshots
+/// depend only on root indices — never on which thread ran a subtree or in
+/// what order tasks were stolen — so ranked output and every counter are
+/// bit-identical for any thread count and any steal schedule.
 ///
-///  1. Data-parallel inner loops (`MinerConfig::num_threads > 1`):
-///     per-graph extension collection, per-graph embedding dedupe,
-///     residual construction, the pruning passes' subgraph-isomorphism
-///     tests, and root-bucket preparation run on the internal
-///     StealScheduler via the deterministic ParallelFor
-///     (exec/parallel_for.h) / TaskGroup, merging per-index results in
-///     index order. Nested joins help-steal, so these loops run inside
-///     subtree tasks too.
-///  2. Root-subtree parallelism (`MinerConfig::root_batch > 1`): the root
-///     buckets are independent subtrees of the pattern-space tree, mined
-///     in batches of stealable tasks — one task per root, so a worker
-///     that finishes an easy subtree steals a pending one instead of the
-///     batch joining on its slowest member. Each task owns a WorkerState
-///     — thread-local PatternRegistry, top-k list, MinerStats, subgraph
-///     tester, and scratch — seeded from a read-only snapshot of the
-///     registry/top/best-score committed by earlier batches. When the
-///     batch joins, worker results are committed in ascending
-///     root-bucket order: registries are absorbed, top-k insertions are
-///     replayed, and stats are summed. Batch membership and snapshots
-///     depend only on root indices — never on which thread ran a subtree
-///     or in what order tasks were stolen — so ranked output is
-///     bit-identical for any thread count and any steal schedule.
-///
-/// root_batch == 1 (the default) makes level 2 degenerate into the exact
-/// serial search: each root's snapshot holds every earlier root, which is
-/// what the serial DFS dispatch sees. root_batch == 0 auto-sizes batches
-/// from the root count and thread count (see MinerConfig::root_batch). A
-/// max_millis wall-clock budget truncates either mode at a
-/// timing-dependent point, so timed-out runs may differ across thread
-/// counts (see MinerConfig::num_threads).
+/// root_batch == 1 (the default) is the exact serial search: each root's
+/// snapshot holds every earlier root, which is what the serial DFS
+/// dispatch sees, and no scheduler is created. root_batch == 0 auto-sizes
+/// batches from the root count and thread count (see
+/// MinerConfig::root_batch). A max_millis wall-clock budget truncates
+/// either mode at a timing-dependent point, so timed-out runs may differ
+/// across thread counts (see MinerConfig::num_threads).
 class Miner {
  public:
   /// The graph pointers must outlive the miner. Graphs must be finalized
@@ -163,7 +151,7 @@ class Miner {
   /// Per-subtree mining state. The DFS and every helper below it operate
   /// exclusively on one WorkerState, so a root subtree is a pure function
   /// of (its root bucket, the committed snapshot it was seeded from) and
-  /// can run on any pool worker without locks. The serial search is the
+  /// can run on any scheduler thread without locks. The serial search is the
   /// degenerate case of one worker per batch whose snapshot holds all
   /// earlier roots.
   struct WorkerState {
@@ -192,11 +180,6 @@ class Miner {
     std::int64_t committed_visited = 0;
     /// BudgetExhausted call counter; the wall clock is read every 64 calls.
     std::int64_t budget_calls = 0;
-    /// Scheduler for the data-parallel inner loops (ParallelFor chunks,
-    /// pruning-pass test fan-out, residual construction). Set for every
-    /// worker: the stealing scheduler's helping joins make nested
-    /// parallel regions inside subtree tasks safe.
-    StealScheduler* pool = nullptr;
     /// Subgraph tester for the pruning passes. Testers memoize (SeqMatcher
     /// caches per-argument reps), so they are per-worker, never shared.
     TemporalSubgraphTester* tester = nullptr;
@@ -218,8 +201,8 @@ class Miner {
   /// Returns one WorkerState seeded from the committed snapshot (all
   /// workers of a batch get identical seeds; which root a worker mines is
   /// decided by the dispatch loop). `batch_size` decides whether the
-  /// worker may use the inner-loop pool and the shared memoizing tester
-  /// (only single-subtree batches can: nothing else runs concurrently).
+  /// worker may share the miner's memoizing tester (only single-subtree
+  /// batches can: nothing else runs concurrently).
   WorkerState MakeWorker(std::size_t batch_size);
 
   /// Returns the best score seen in the subtree rooted at `pattern`.
@@ -255,46 +238,6 @@ class Miner {
                                  wrapped);
   }
 
-  /// One registry candidate materialized out of the ForEachCandidate
-  /// stream so a pruning pass can fan its subgraph-isomorphism tests out
-  /// over the pool. Pointers are stable for the duration of a pruning
-  /// pass: entries live in a std::deque and no registration happens
-  /// mid-pass. `cum_equiv_tests` is the equiv-test counter value *after*
-  /// enumerating this candidate — the replay data that lets the parallel
-  /// path charge exactly the tests a serial early-exit scan would have.
-  struct PruneCandidate {
-    const PatternRegistry::CandidateMeta* meta = nullptr;
-    const RegisteredPattern* entry = nullptr;
-    std::int64_t cum_equiv_tests = 0;
-  };
-
-  /// Materializes the full candidate stream for one pruning pass without
-  /// touching ws counters; returns the total equiv-test count of the
-  /// complete enumeration. Callers replay counter charges from the
-  /// per-candidate cumulative values.
-  std::int64_t CollectPruneCandidates(
-      const WorkerState& ws, std::int64_t pos_i_value,
-      const std::vector<std::pair<std::int32_t, EdgePos>>& pos_cuts,
-      std::vector<PruneCandidate>& out) const;
-
-  /// Lane testers for the parallel pruning fan-out: each concurrent test
-  /// lane borrows a memoizing tester (testers are never shared across
-  /// threads), returning it when the pass ends so memo state accumulates
-  /// across passes instead of being rebuilt.
-  std::unique_ptr<TemporalSubgraphTester> AcquireLaneTester()
-      TGM_EXCLUDES(lane_tester_mu_);
-  void ReleaseLaneTester(std::unique_ptr<TemporalSubgraphTester> tester)
-      TGM_EXCLUDES(lane_tester_mu_);
-
-  /// Runs `test(s, tester)` over survivors [0, n) as chunked stealable
-  /// tasks — one borrowed lane tester per chunk, so its memo warms across
-  /// the chunk — and returns the smallest s whose test triggered (n if
-  /// none). Lanes past the current best trigger are skipped; the result
-  /// equals the serial early-exit scan's stop index for every schedule.
-  std::size_t FanOutFirstTrigger(
-      StealScheduler* pool, std::size_t n,
-      const std::function<bool(std::size_t, TemporalSubgraphTester&)>& test);
-
   /// Resolves config_.root_batch against the actual root-bucket count:
   /// >= 1 is taken as-is, 0 auto-sizes from the thread count (see
   /// MinerConfig::root_batch).
@@ -304,16 +247,14 @@ class Miner {
   /// ascending order. Run order within a graph is first-encounter (hash
   /// probe) order, NOT key order — consumers must group through
   /// BuildChildren, whose key sort establishes the deterministic order.
-  /// `pool` may be null (inline).
-  void CollectExtensions(StealScheduler* pool, const EmbeddingTable& table,
+  void CollectExtensions(const EmbeddingTable& table,
                          const std::vector<const TemporalGraph*>& graphs,
                          bool positive_side,
                          std::vector<KeyedEmbeds>& out) const;
 
   /// One data graph's contribution to CollectExtensions: one run per
   /// distinct extension key, runs in first-encounter order, embeddings
-  /// within a run in the serial visit order. Pure; safe to run for
-  /// different graphs concurrently.
+  /// within a run in the serial visit order.
   void CollectGraphExtensions(const GraphEmbeddings& ge,
                               const TemporalGraph& g,
                               std::vector<KeyedEmbeds>& out) const;
@@ -329,13 +270,6 @@ class Miner {
   /// Returns every embedding buffer in `table` to the scratch arena and
   /// empties the table.
   static void ReleaseTable(EmbeddingTable& table);
-
-  /// Dedupes (and caps) every per-graph embedding list in `tables`, using
-  /// `pool` when non-null: one parallel unit per (table, graph) entry.
-  /// Adds the cap-hit count to `*cap_hits` in index order.
-  void DedupeAndCapAll(StealScheduler* pool,
-                       const std::vector<EmbeddingTable*>& tables,
-                       std::int64_t* cap_hits) const;
 
   ResidualSet BuildResidual(const EmbeddingTable& table,
                             const std::vector<const TemporalGraph*>& graphs)
@@ -366,29 +300,22 @@ class Miner {
   /// Budget check between batches, on the committed state only.
   bool CommittedBudgetExhausted();
 
-  /// Returns the number of cap hits (callers fold it into stats).
+  /// Sort-unique-truncates every per-graph embedding list in `table`;
+  /// returns the number of cap hits (callers fold it into stats).
   std::int64_t DedupeAndCap(EmbeddingTable& table) const;
-
-  /// Sort-unique-truncate for one graph's embedding list; returns 1 if the
-  /// cap was hit, 0 otherwise. Pure per-entry work.
-  std::int64_t DedupeAndCapGraph(GraphEmbeddings& ge) const;
 
   MinerConfig config_;
   std::vector<const TemporalGraph*> pos_graphs_;
   std::vector<const TemporalGraph*> neg_graphs_;
 
   DiscriminativeScore score_;
-  /// Steal-capable scheduler for batch subtrees and the data-parallel
-  /// inner loops; null when the resolved num_threads is 1 (the serial
-  /// path has zero scheduler overhead).
+  /// Steal-capable scheduler for batch subtrees; null unless the resolved
+  /// num_threads is above 1 and root_batch != 1 (the serial path has zero
+  /// scheduler overhead).
   std::unique_ptr<StealScheduler> pool_;
   /// Tester lent to single-subtree batches so the serial search keeps one
   /// warm memo across roots; multi-subtree batches build per-worker ones.
   std::unique_ptr<TemporalSubgraphTester> tester_;
-  /// Free list backing AcquireLaneTester/ReleaseLaneTester.
-  Mutex lane_tester_mu_;
-  std::vector<std::unique_ptr<TemporalSubgraphTester>> lane_testers_
-      TGM_GUARDED_BY(lane_tester_mu_);
 
   /// Committed state: everything below reflects exactly the root subtrees
   /// committed so far, is read-only while a batch is in flight, and is

@@ -82,53 +82,37 @@ struct MinerConfig {
   /// pipeline, at the cost of no longer measuring the paper's overheads.
   bool check_reference_score_first = false;
 
-  /// Threads used for the miner's parallel work. 1 = fully serial (no
-  /// scheduler is created); 0 = all hardware threads. Parallel work runs
-  /// on a steal-capable scheduler (exec/work_stealing.h) whose workers
-  /// take pending tasks from each other, so joins never idle on a slow
-  /// member; what gets scheduled depends on `root_batch`:
+  /// Threads for mining root subtrees concurrently. 1 = fully serial; 0 =
+  /// all hardware threads. Threads take effect only with root_batch != 1:
+  /// whole root subtrees then run as stealable tasks on a steal-capable
+  /// scheduler (exec/work_stealing.h), and with root_batch == 1 no
+  /// scheduler is created at all. Ranked results and every MinerStats
+  /// counter are bit-identical for every thread count and steal schedule,
+  /// because subtree inputs are fixed at batch start and commits happen in
+  /// ascending root-bucket order.
   ///
-  ///  - root_batch == 1 (default): the data-parallel inner loops —
-  ///    root-bucket preparation, per-graph embedding dedupe, per-graph
-  ///    extension collection, residual construction, and the pruning
-  ///    passes' subgraph tests — run on the scheduler. The DFS skeleton —
-  ///    visit order, pruning decisions, registry and top-k updates — runs
-  ///    on the calling thread and every parallel region merges per-index
-  ///    results in index order, so ranked results are bit-identical for
-  ///    every thread count and steal schedule.
-  ///  - root_batch != 1: whole root subtrees additionally run as
-  ///    stealable tasks (see root_batch below); nested joins inside a
-  ///    subtree help-steal, so the inner loops fan out from subtree tasks
-  ///    too. Ranked results remain bit-identical for every thread count
-  ///    because subtree inputs are fixed at batch start and commits
-  ///    happen in ascending root-bucket order.
-  ///
-  /// Both invariants hold provided the search runs to its natural end or a
+  /// That holds provided the search runs to its natural end or a
   /// max_visited cap. A max_millis wall-clock cutoff truncates the search
   /// at a timing-dependent point, so timed-out runs may differ across
-  /// thread counts (just as they may across repeated serial runs). On
-  /// budget-truncated runs the stats.embedding_cap_hits counter may also
-  /// differ: the pooled pre-pass dedupes (and counts) buckets a
-  /// lazily-deduping serial run never reaches. Ranked results and the
-  /// search-shape counters (patterns_visited/expanded, prune triggers) are
-  /// unaffected.
+  /// thread counts (just as they may across repeated serial runs).
   int num_threads = 1;
 
   /// Number of root subtrees mined concurrently per batch. The root-level
   /// ChildWork buckets are independent subtrees of the pattern-space tree
   /// (Theorem 1), so they can be explored in parallel; each subtree in a
-  /// batch runs on a pool worker with its own thread-local registry,
-  /// top-k list, and stats, all seeded from a read-only snapshot of the
-  /// state committed by earlier batches, and the per-subtree results are
-  /// committed in ascending root-bucket order once the batch joins.
+  /// batch runs the serial DFS on a scheduler thread with its own
+  /// thread-local registry, top-k list, and stats, all seeded from a
+  /// read-only snapshot of the state committed by earlier batches, and the
+  /// per-subtree results are committed in ascending root-bucket order once
+  /// the batch joins.
   ///
-  /// 1 (default) reproduces the fully serial search exactly: each "batch"
-  /// is one root whose snapshot contains every earlier root, which is
-  /// precisely what the serial DFS dispatch sees. Values > 1 trade pruning
-  /// visibility for parallelism: subtrees in the same batch cannot see
-  /// each other's registrations or best scores, so the search explores
-  /// (somewhat) more patterns and its ranked tail may cut score ties
-  /// differently than root_batch=1 — the maximum score is preserved
+  /// 1 (default) is the fully serial search: each "batch" is one root
+  /// whose snapshot contains every earlier root, which is precisely what
+  /// the serial DFS dispatch sees, and num_threads is ignored. Values > 1
+  /// trade pruning visibility for parallelism: subtrees in the same batch
+  /// cannot see each other's registrations or best scores, so the search
+  /// explores (somewhat) more patterns and its ranked tail may cut score
+  /// ties differently than root_batch=1 — the maximum score is preserved
   /// either way (the pruning rules are sound under any registry subset,
   /// Theorem 2). For a fixed root_batch the search is deterministic: batch
   /// membership and snapshots depend only on root indices, never on
@@ -143,26 +127,6 @@ struct MinerConfig {
   /// across thread counts only in best score, not in ranked tail —
   /// measure with explicit values, deploy with 0.
   int root_batch = 1;
-
-  /// Minimum number of embeddings in a parallel region before the pool is
-  /// engaged; smaller regions run inline because the handoff overhead
-  /// exceeds the work (deep DFS nodes have a handful of embeddings, roots
-  /// have thousands). Purely a scheduling knob: the inline fallback
-  /// computes identical results. Tests set 0 to force the parallel paths
-  /// on small fixtures.
-  std::int64_t parallel_min_embeddings = 512;
-
-  /// Minimum number of gate-surviving registry candidates in one pruning
-  /// pass before its subgraph-isomorphism tests fan out across the
-  /// scheduler; passes below the floor test serially on the worker's own
-  /// tester. Purely a scheduling knob: the fan-out replays the serial
-  /// early-exit counters exactly, so results and stats are identical
-  /// either way. The floor is deliberately high: cheap sequence-algebra
-  /// tests with an early first trigger lose more to task handoff than
-  /// they gain from overlap, so only passes with a deep survivor list
-  /// (the expensive ones) fan out. Tests set 0 to force the parallel
-  /// path on small fixtures.
-  std::int64_t parallel_min_prune_candidates = 32;
 
   /// Safety cap on visited patterns; 0 = unlimited.
   std::int64_t max_visited = 0;

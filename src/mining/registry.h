@@ -100,19 +100,6 @@ class PatternRegistry {
     }
   }
 
-  /// Cheap upper bound on the candidates ForEachPosCandidate would visit
-  /// for `pos_i_value`: the I-value bucket size (kIValue) or the full
-  /// entry count (kLinearScan). Lets the miner size-gate its pooled
-  /// pruning pass — which materializes the whole stream — without
-  /// enumerating anything.
-  std::size_t PosCandidateCountBound(std::int64_t pos_i_value) const {
-    if (algo_ == ResidualEquivAlgo::kIValue) {
-      auto it = by_pos_i_.find(pos_i_value);
-      return it == by_pos_i_.end() ? 0 : it->second.size();
-    }
-    return entries_.size();
-  }
-
   std::size_t size() const { return entries_.size(); }
   ResidualEquivAlgo algo() const { return algo_; }
 

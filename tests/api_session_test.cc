@@ -490,6 +490,23 @@ TEST(SessionTest, MineSurfacesEmptyResultAsStatus) {
             std::string::npos);
 }
 
+TEST(SessionTest, AdaptiveRootBatchMinesTheSerialBestScore) {
+  // Session runs every config through MinerConfigBuilder::Build(), which
+  // accepts root_batch = 0 (adaptive subtree batches); the batched search
+  // keeps the serial search's best score.
+  Session session = TrainedSession();
+  StatusOr<MineResult> serial = session.MineRaw(BasicSpec());
+  ASSERT_TRUE(serial.ok());
+  MineSpec spec = BasicSpec();
+  spec.config.num_threads = 2;
+  spec.config.root_batch = 0;
+  StatusOr<MineResult> adaptive = session.MineRaw(spec);
+  ASSERT_TRUE(adaptive.ok());
+  EXPECT_EQ(adaptive->best_score, serial->best_score);
+  ASSERT_FALSE(adaptive->top.empty());
+  EXPECT_EQ(adaptive->top[0].score, serial->top[0].score);
+}
+
 TEST(BuildersTest, MinerConfigBuilderValidates) {
   StatusOr<MinerConfig> ok = api::MinerConfigBuilder("SubPrune")
                                  .MaxEdges(4)
@@ -507,7 +524,8 @@ TEST(BuildersTest, MinerConfigBuilderValidates) {
   EXPECT_FALSE(api::MinerConfigBuilder().TopK(0).Build().ok());
   EXPECT_FALSE(api::MinerConfigBuilder().MinPosFreq(1.5).Build().ok());
   EXPECT_FALSE(api::MinerConfigBuilder().Threads(-1).Build().ok());
-  EXPECT_FALSE(api::MinerConfigBuilder().RootBatch(0).Build().ok());
+  EXPECT_TRUE(api::MinerConfigBuilder().RootBatch(0).Build().ok());
+  EXPECT_FALSE(api::MinerConfigBuilder().RootBatch(-1).Build().ok());
   EXPECT_FALSE(api::MinerConfigBuilder().MaxMillis(-1).Build().ok());
 }
 

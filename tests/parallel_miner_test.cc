@@ -1,16 +1,16 @@
 // Parallel mining determinism: MinerConfig::num_threads must not change
 // mined results — for every thread count the ranked result list (patterns,
-// scores, frequencies, order) and best score are bit-identical to serial,
-// because the DFS skeleton stays sequential and every parallel inner loop
-// merges per-index slots in index order.
+// scores, frequencies, order), the best score, and every search counter
+// are bit-identical to serial.
 //
-// With MinerConfig::root_batch > 1 whole root subtrees additionally run
-// as stealable tasks on the scheduler; determinism then comes from fixed
-// batch membership (a function of root indices only), per-subtree
+// Root subtrees are the miner's only parallel unit: with
+// MinerConfig::root_batch != 1 whole root subtrees run as stealable tasks
+// on the scheduler, each running the serial DFS. Determinism comes from
+// fixed batch membership (a function of root indices only), per-subtree
 // WorkerState seeded from the committed snapshot, and commits in
 // ascending root-bucket order — pinned below across 1/2/4/8 threads and
-// across repeated runs (steal schedules vary run to run), including the
-// search-shape stats.
+// across repeated runs (steal schedules vary run to run). With
+// root_batch == 1 num_threads is inert: no scheduler is created.
 
 #include <gtest/gtest.h>
 
@@ -42,6 +42,27 @@ void ExpectIdenticalResults(const MineResult& want, const MineResult& got,
   }
 }
 
+/// The search itself must be identical, not just the output: thread count
+/// may not change what gets visited, expanded, tested, pruned, or capped —
+/// on completed and budget-truncated searches alike.
+void ExpectIdenticalSearch(const MineResult& want, const MineResult& got) {
+  EXPECT_EQ(want.stats.patterns_visited, got.stats.patterns_visited);
+  EXPECT_EQ(want.stats.patterns_expanded, got.stats.patterns_expanded);
+  EXPECT_EQ(want.stats.naive_prunes, got.stats.naive_prunes);
+  EXPECT_EQ(want.stats.subgraph_prune_triggers,
+            got.stats.subgraph_prune_triggers);
+  EXPECT_EQ(want.stats.supergraph_prune_triggers,
+            got.stats.supergraph_prune_triggers);
+  EXPECT_EQ(want.stats.subgraph_tests, got.stats.subgraph_tests);
+  EXPECT_EQ(want.stats.residual_equiv_tests, got.stats.residual_equiv_tests);
+  EXPECT_EQ(want.stats.embedding_cap_hits, got.stats.embedding_cap_hits);
+  EXPECT_EQ(want.stats.visit_cap_hit, got.stats.visit_cap_hit);
+}
+
+/// For a fixed root_batch, ranked output AND every search counter must be
+/// bit-identical for every thread count: each subtree is a pure function
+/// of (its root bucket, the committed snapshot at batch start) and commits
+/// land in ascending root-bucket order.
 void ExpectThreadCountInvariance(const MinerConfig& base,
                                  const std::vector<TemporalGraph>& pos,
                                  const std::vector<TemporalGraph>& neg) {
@@ -51,23 +72,9 @@ void ExpectThreadCountInvariance(const MinerConfig& base,
   for (int num_threads : {2, 4, 8}) {
     MinerConfig config = base;
     config.num_threads = num_threads;
-    // Force the scheduler to engage even on these small fixtures, so the
-    // parallel merge paths themselves are what gets pinned (the inline
-    // fallback below the default grain is trivially identical to serial).
-    // Likewise for the pruning-pass fan-out floor: every pass with >= 2
-    // gate survivors tests on the pool.
-    config.parallel_min_embeddings = 0;
-    config.parallel_min_prune_candidates = 0;
     MineResult got = Miner(config, pos, neg).Mine();
     ExpectIdenticalResults(want, got, num_threads);
-    // The search itself must also be identical, not just the output: the
-    // parallel loops may not change what gets visited, expanded or pruned.
-    EXPECT_EQ(want.stats.patterns_visited, got.stats.patterns_visited);
-    EXPECT_EQ(want.stats.patterns_expanded, got.stats.patterns_expanded);
-    EXPECT_EQ(want.stats.subgraph_prune_triggers,
-              got.stats.subgraph_prune_triggers);
-    EXPECT_EQ(want.stats.supergraph_prune_triggers,
-              got.stats.supergraph_prune_triggers);
+    ExpectIdenticalSearch(want, got);
   }
 }
 
@@ -108,8 +115,8 @@ TEST_P(ParallelMinerTest, ReplicatedFixturesRankIdentically) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelMinerTest, ::testing::Range(0, 6));
 
 TEST(ParallelMinerConfigTest, EmbeddingCapStaysDeterministic) {
-  // The cap truncates after a deterministic sort; per-graph parallel
-  // dedupe must preserve both the truncation and the ranked output.
+  // The cap truncates after a deterministic sort; thread count must
+  // preserve both the truncation and the ranked output.
   std::mt19937_64 rng(91);
   std::vector<TemporalGraph> pos;
   std::vector<TemporalGraph> neg;
@@ -121,6 +128,22 @@ TEST(ParallelMinerConfigTest, EmbeddingCapStaysDeterministic) {
   config.max_edges = 3;
   config.max_embeddings_per_graph = 4;
   ExpectThreadCountInvariance(config, pos, neg);
+
+  // A visit budget that cuts the search while caps are being hit: the
+  // cap-hit count then depends on exactly which children were deduped, so
+  // it must come from the same lazy per-child dedupe at every thread
+  // count, serial and batched.
+  MinerConfig truncated = MinerConfig::TGMiner();
+  truncated.max_embeddings_per_graph = 3;
+  truncated.max_visited = 30;
+  for (int root_batch : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "root_batch=" << root_batch);
+    truncated.root_batch = root_batch;
+    ExpectThreadCountInvariance(truncated, pos, neg);
+  }
+  MineResult capped = Miner(truncated, pos, neg).Mine();
+  EXPECT_TRUE(capped.stats.visit_cap_hit);
+  EXPECT_GT(capped.stats.embedding_cap_hits, 0);
 }
 
 TEST(ParallelMinerConfigTest, PipelineShapedConfigRanksIdentically) {
@@ -160,30 +183,6 @@ TEST(ParallelMinerConfigTest, AblationConfigsRankIdentically) {
   }
 }
 
-TEST(ParallelMinerConfigTest, DefaultGrainCrossedOnLargeFixture) {
-  // A fixture big enough that the *default* parallel_min_embeddings grain
-  // is crossed at the root level (single label -> one root bucket holding
-  // every edge: 3+3 graphs x 90 edges = 540 embeddings >= 512), exercising
-  // the gate-plus-parallel interplay exactly as production runs do.
-  std::mt19937_64 rng(77);
-  std::vector<TemporalGraph> pos;
-  std::vector<TemporalGraph> neg;
-  for (int i = 0; i < 3; ++i) {
-    pos.push_back(tgm::testing::RandomGraph(rng, 10, 90, 1));
-    neg.push_back(tgm::testing::RandomGraph(rng, 10, 90, 1));
-  }
-  MinerConfig serial = MinerConfig::TGMiner();
-  serial.max_edges = 2;
-  serial.max_embeddings_per_graph = 100;
-  MineResult want = Miner(serial, pos, neg).Mine();
-  for (int num_threads : {2, 4}) {
-    MinerConfig config = serial;
-    config.num_threads = num_threads;
-    MineResult got = Miner(config, pos, neg).Mine();
-    ExpectIdenticalResults(want, got, num_threads);
-  }
-}
-
 TEST(ParallelMinerConfigTest, VisitCapBudgetStaysDeterministic) {
   // Unlike max_millis (wall-clock, inherently timing-dependent), the
   // max_visited budget counts DFS visits, which happen only on the serial
@@ -204,39 +203,6 @@ TEST(ParallelMinerConfigTest, VisitCapBudgetStaysDeterministic) {
 // ---------------------------------------------------------------------------
 // Root-subtree parallelism (MinerConfig::root_batch > 1).
 
-/// For a fixed root_batch, ranked output AND the search-shape stats must
-/// be bit-identical for every thread count: each subtree is a pure
-/// function of (its root bucket, the committed snapshot at batch start)
-/// and commits land in ascending root-bucket order.
-void ExpectRootBatchThreadInvariance(const MinerConfig& base,
-                                     const std::vector<TemporalGraph>& pos,
-                                     const std::vector<TemporalGraph>& neg) {
-  MinerConfig serial = base;
-  serial.num_threads = 1;
-  MineResult want = Miner(serial, pos, neg).Mine();
-  for (int num_threads : {2, 4, 8}) {
-    MinerConfig config = base;
-    config.num_threads = num_threads;
-    config.parallel_min_embeddings = 0;
-    config.parallel_min_prune_candidates = 0;
-    MineResult got = Miner(config, pos, neg).Mine();
-    ExpectIdenticalResults(want, got, num_threads);
-    EXPECT_EQ(want.stats.patterns_visited, got.stats.patterns_visited);
-    EXPECT_EQ(want.stats.patterns_expanded, got.stats.patterns_expanded);
-    EXPECT_EQ(want.stats.subgraph_prune_triggers,
-              got.stats.subgraph_prune_triggers);
-    EXPECT_EQ(want.stats.supergraph_prune_triggers,
-              got.stats.supergraph_prune_triggers);
-    // On budget-truncated runs embedding_cap_hits may legitimately differ
-    // across thread counts (a pooled pre-pass dedupes children a lazy
-    // serial run never reaches — see MinerConfig::num_threads), so only
-    // completed searches pin it.
-    if (!want.stats.truncated()) {
-      EXPECT_EQ(want.stats.embedding_cap_hits, got.stats.embedding_cap_hits);
-    }
-  }
-}
-
 class RootSubtreeParallelTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RootSubtreeParallelTest, RandomFixturesRankIdenticallyAcrossThreads) {
@@ -255,7 +221,7 @@ TEST_P(RootSubtreeParallelTest, RandomFixturesRankIdenticallyAcrossThreads) {
   for (int root_batch : {2, 4, 16}) {
     SCOPED_TRACE(::testing::Message() << "root_batch=" << root_batch);
     config.root_batch = root_batch;
-    ExpectRootBatchThreadInvariance(config, pos, neg);
+    ExpectThreadCountInvariance(config, pos, neg);
   }
 }
 
@@ -273,7 +239,7 @@ TEST_P(RootSubtreeParallelTest, AblationConfigsRankIdenticallyAcrossThreads) {
     MinerConfig config = preset;
     config.max_edges = 3;
     config.root_batch = 4;
-    ExpectRootBatchThreadInvariance(config, pos, neg);
+    ExpectThreadCountInvariance(config, pos, neg);
   }
 }
 
@@ -300,7 +266,6 @@ TEST(RootSubtreeParallelTest, PreservesBestScoreOfSerialSearch) {
     MinerConfig batched = serial;
     batched.root_batch = 8;
     batched.num_threads = 4;
-    batched.parallel_min_embeddings = 0;
     MineResult got = Miner(batched, pos, neg).Mine();
     EXPECT_DOUBLE_EQ(want.best_score, got.best_score);
     ASSERT_FALSE(want.top.empty());
@@ -327,7 +292,7 @@ TEST(RootSubtreeParallelTest, MinPosFreqAndTieCutConfigsStayInvariant) {
   config.check_reference_score_first = true;
   config.top_k = 16;
   config.root_batch = 4;
-  ExpectRootBatchThreadInvariance(config, pos, neg);
+  ExpectThreadCountInvariance(config, pos, neg);
 }
 
 TEST(RootSubtreeParallelTest, VisitCapIsDeterministicAndReported) {
@@ -347,7 +312,7 @@ TEST(RootSubtreeParallelTest, VisitCapIsDeterministicAndReported) {
   config.max_edges = 4;
   config.max_visited = 40;
   config.root_batch = 4;
-  ExpectRootBatchThreadInvariance(config, pos, neg);
+  ExpectThreadCountInvariance(config, pos, neg);
   MineResult capped = Miner(config, pos, neg).Mine();
   EXPECT_TRUE(capped.stats.visit_cap_hit);
   EXPECT_TRUE(capped.stats.truncated());
@@ -368,7 +333,7 @@ TEST(RootSubtreeParallelTest, ReplicatedFixturesRankIdenticallyAcrossThreads) {
   config.max_edges = 3;
   config.top_k = 256;
   config.root_batch = 8;
-  ExpectRootBatchThreadInvariance(config, pos_syn, neg_syn);
+  ExpectThreadCountInvariance(config, pos_syn, neg_syn);
 }
 
 TEST(RootSubtreeParallelTest, RepeatedStealingRunsAreIdentical) {
@@ -388,22 +353,12 @@ TEST(RootSubtreeParallelTest, RepeatedStealingRunsAreIdentical) {
   config.top_k = 512;
   config.root_batch = 16;
   config.num_threads = 8;
-  config.parallel_min_embeddings = 0;
-  config.parallel_min_prune_candidates = 0;
   MineResult want = Miner(config, pos, neg).Mine();
   for (int run = 0; run < 3; ++run) {
     SCOPED_TRACE(::testing::Message() << "run " << run);
     MineResult got = Miner(config, pos, neg).Mine();
     ExpectIdenticalResults(want, got, config.num_threads);
-    EXPECT_EQ(want.stats.patterns_visited, got.stats.patterns_visited);
-    EXPECT_EQ(want.stats.patterns_expanded, got.stats.patterns_expanded);
-    EXPECT_EQ(want.stats.subgraph_tests, got.stats.subgraph_tests);
-    EXPECT_EQ(want.stats.residual_equiv_tests,
-              got.stats.residual_equiv_tests);
-    EXPECT_EQ(want.stats.subgraph_prune_triggers,
-              got.stats.subgraph_prune_triggers);
-    EXPECT_EQ(want.stats.supergraph_prune_triggers,
-              got.stats.supergraph_prune_triggers);
+    ExpectIdenticalSearch(want, got);
   }
 }
 
@@ -426,8 +381,6 @@ TEST(RootSubtreeParallelTest, AdaptiveRootBatchIsRepeatableAndSound) {
   MinerConfig adaptive = serial;
   adaptive.root_batch = 0;
   adaptive.num_threads = 4;
-  adaptive.parallel_min_embeddings = 0;
-  adaptive.parallel_min_prune_candidates = 0;
   MineResult first = Miner(adaptive, pos, neg).Mine();
   EXPECT_DOUBLE_EQ(want.best_score, first.best_score);
   ASSERT_FALSE(first.top.empty());
