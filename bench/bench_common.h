@@ -156,11 +156,12 @@ inline PipelineConfig DefaultPipelineConfig(const Flags& flags) {
   config.miner.max_millis = flags.GetInt("mine_budget_ms", 120000);
   // Threads for mining root subtrees concurrently; 0 = all hardware
   // threads. They take effect only with --root_batch=N for N > 1 (the
-  // default 1 is the exact serial search): whole root subtrees then run
-  // concurrently in batches of N, and results depend on N but not on
-  // --threads unless the mine_budget_ms wall-clock cutoff triggers (see
+  // default 1 is the serial search): whole root subtrees then run
+  // concurrently in batches of N. Completed searches rank identically for
+  // every N and --threads; the miner counters depend on N, and a
+  // mine_budget_ms wall-clock cutoff makes results timing-dependent (see
   // MinerConfig::num_threads). Keep --root_batch fixed when comparing
-  // runs.
+  // counters.
   config.miner.num_threads =
       static_cast<int>(flags.GetInt("threads", 1, 0, 4096));
   config.miner.root_batch =
@@ -258,8 +259,8 @@ inline void Banner(const char* artifact, const char* description) {
   std::printf("==============================================================="
               "=================\n");
   std::printf("%s — %s\n", artifact, description);
-  std::printf("(scaled-down defaults; see EXPERIMENTS.md for paper-scale "
-              "flags and shape notes)\n");
+  std::printf("(scaled-down defaults; flags in README.md \"Benches\", "
+              "recorded runs in bench/baselines/README.md)\n");
   std::printf("==============================================================="
               "=================\n");
 }

@@ -46,16 +46,15 @@ int main(int argc, char** argv) {
   bench::JsonBenchWriter json;
   // Threads for mining root subtrees concurrently. With the default
   // --root_batch=16 root subtrees are mined in fixed batches of 16 on the
-  // pool with per-worker registries committed in ascending root order, so
-  // for runs that finish within --budget_ms the mined results are
-  // bit-identical across --threads values and only the response times
-  // change. TIMEOUT rows truncate at a timing-dependent point, so their
-  // results may differ per thread count. --root_batch=1 is the exact
-  // serial search (--threads then has no effect) and --root_batch=0
-  // auto-sizes batches from the thread count (adaptive; repeatable per
-  // thread count but not comparable across thread counts); note results
-  // are comparable across runs only for equal --root_batch, which is
-  // therefore recorded in the JSON payload.
+  // pool with per-worker registries committed in ascending root order.
+  // Runs that finish within --budget_ms mine bit-identical results for
+  // every --threads and --root_batch value; the counters are identical
+  // across --threads values and only the response times change. TIMEOUT
+  // rows truncate at a timing-dependent point, so their results may differ
+  // per thread count. --root_batch=1 is the serial search (--threads then
+  // has no effect) and --root_batch=0 auto-sizes batches from the thread
+  // count. The counters are comparable across runs only for equal
+  // --root_batch, which is therefore recorded in the JSON payload.
   int num_threads = static_cast<int>(flags.GetInt("threads", 1, 0, 4096));
   int root_batch = static_cast<int>(flags.GetInt("root_batch", 16, 0, 4096));
 
@@ -66,7 +65,8 @@ int main(int argc, char** argv) {
       {"PruneVF2", MinerConfig::PruneVF2()},
       {"SupPrune", MinerConfig::SupPrune()},
       // Extra ablation beyond the paper: the find-good-patterns-early
-      // child-ordering heuristic disabled (DESIGN.md §5).
+      // child-ordering heuristic disabled
+      // (MinerConfig::order_children_by_score).
       {"TGM-noorder",
        [] {
          MinerConfig c = MinerConfig::TGMiner();

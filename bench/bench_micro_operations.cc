@@ -230,9 +230,10 @@ BENCHMARK(BM_EdgeScanEnumerate)->Arg(2)->Arg(3)->Arg(4);
 // root_batch=16 rows mine whole root subtrees concurrently on the pool
 // with per-worker registries merged in ascending root order (the 1/16 row
 // runs the same batches inline). Threads take effect only with
-// root_batch != 1, so there are no N/1 rows. Results are bit-identical
-// across thread counts within each root_batch value; on a multicore host
-// the time/iteration of the subtree rows drops with threads.
+// root_batch != 1, so there are no N/1 rows. Ranked results are
+// bit-identical on every row; patterns_visited is identical across thread
+// counts within each root_batch value. On a multicore host the
+// time/iteration of the subtree rows drops with threads.
 void BM_MineParallel(benchmark::State& state) {
   std::mt19937_64 rng(1234);
   std::vector<TemporalGraph> pos;

@@ -55,14 +55,6 @@ class MinerConfigBuilder {
     config_.max_embeddings_per_graph = v;
     return *this;
   }
-  MinerConfigBuilder& StopAtTopKTies(bool v) {
-    config_.stop_at_top_k_ties = v;
-    return *this;
-  }
-  MinerConfigBuilder& CheckReferenceScoreFirst(bool v) {
-    config_.check_reference_score_first = v;
-    return *this;
-  }
   MinerConfigBuilder& Threads(int v) { config_.num_threads = v; return *this; }
   MinerConfigBuilder& RootBatch(int v) { config_.root_batch = v; return *this; }
   MinerConfigBuilder& MaxVisited(std::int64_t v) {

@@ -17,7 +17,8 @@ namespace tgm {
 /// a schedule-independent index assignment. Results must be written to
 /// per-index (or per-chunk) slots; callers that then combine slots in
 /// index order get output bit-identical to the serial loop, which is how
-/// the miner keeps `num_threads > 1` results equal to serial mining.
+/// the stream engine's per-shard batch broadcast keeps its merged alerts
+/// independent of the thread count.
 ///
 /// Chunks are stealable tasks on the scheduler, oversubscribed several per
 /// thread, so uneven per-index costs rebalance instead of the call

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 
 #include "base/invariants.h"
 #include "mining/key_index.h"
@@ -26,6 +25,15 @@ std::size_t TailSuffixCount(EdgePosSpan positions, EdgePos last) {
       std::upper_bound(positions.begin(), positions.end(), last));
 }
 
+/// True if no two embeddings in `table` share a cut, i.e. each (graph, cut)
+/// pair of `residual` belongs to exactly one node map.
+bool OneEmbeddingPerCut(const EmbeddingTable& table,
+                        const ResidualSet& residual) {
+  std::size_t embeddings = 0;
+  for (const GraphEmbeddings& ge : table) embeddings += ge.embeds.size();
+  return embeddings == residual.cuts().size();
+}
+
 }  // namespace
 
 Miner::Miner(const MinerConfig& config,
@@ -45,9 +53,9 @@ Miner::Miner(const MinerConfig& config,
                       ResolveNumThreads(config.num_threads) - 1)
                 : nullptr),
       tester_(MakeTester(config.subgraph_algo)),
-      registry_(config.residual_algo),
-      best_score_(-std::numeric_limits<double>::infinity()) {
+      registry_(config.residual_algo) {
   TGM_CHECK(config_.max_edges >= 1);
+  TGM_CHECK(config_.top_k >= 1);
   TGM_CHECK(!pos_graphs_.empty());
   TGM_CHECK(!neg_graphs_.empty());
   for (const TemporalGraph* g : pos_graphs_) TGM_CHECK(g->finalized());
@@ -340,11 +348,7 @@ void Miner::UpdateTop(WorkerState& ws, const Pattern& pattern,
   // expansion: a pattern occurring in a minority of the behaviour's runs is
   // run-specific noise, not a behaviour signature, no matter its score.
   if (freq_pos < config_.min_pos_freq) return;
-  ws.best_score = std::max(ws.best_score, score);
-  if (static_cast<int>(ws.top.size()) >= config_.top_k &&
-      score <= ws.top.back().score) {
-    return;
-  }
+  if (CannotEnterTop(ws.top, score)) return;
   MinedPattern mined;
   mined.pattern = pattern;
   mined.freq_pos = freq_pos;
@@ -352,29 +356,28 @@ void Miner::UpdateTop(WorkerState& ws, const Pattern& pattern,
   mined.score = score;
   mined.support_pos = support_pos;
   mined.support_neg = support_neg;
-  // Insert keeping descending score order, stable for equal scores.
-  auto it = std::upper_bound(ws.top.begin(), ws.top.end(), mined,
-                             [](const MinedPattern& a, const MinedPattern& b) {
-                               return a.score > b.score;
-                             });
-  ws.top.insert(it, mined);
-  if (static_cast<int>(ws.top.size()) > config_.top_k) ws.top.pop_back();
   // Log the insertion for the commit replay; entries later displaced from
   // ws.top stay in the log and are re-gated (and then dropped) at commit.
-  ws.inserts.push_back(std::move(mined));
+  ws.inserts.push_back(mined);
+  InsertTop(ws.top, std::move(mined));
 }
 
-void Miner::CommitTopEntry(MinedPattern mined) {
-  if (static_cast<int>(top_.size()) >= config_.top_k &&
-      mined.score <= top_.back().score) {
-    return;
-  }
-  auto it = std::upper_bound(top_.begin(), top_.end(), mined,
+bool Miner::CannotEnterTop(const std::vector<MinedPattern>& top,
+                           double bound) const {
+  return static_cast<int>(top.size()) >= config_.top_k &&
+         bound <= top.back().score;
+}
+
+void Miner::InsertTop(std::vector<MinedPattern>& top,
+                      MinedPattern mined) const {
+  if (CannotEnterTop(top, mined.score)) return;
+  // Insert keeping descending score order, stable for equal scores.
+  auto it = std::upper_bound(top.begin(), top.end(), mined,
                              [](const MinedPattern& a, const MinedPattern& b) {
                                return a.score > b.score;
                              });
-  top_.insert(it, std::move(mined));
-  if (static_cast<int>(top_.size()) > config_.top_k) top_.pop_back();
+  top.insert(it, std::move(mined));
+  if (static_cast<int>(top.size()) > config_.top_k) top.pop_back();
 }
 
 bool Miner::TrySubgraphPrune(WorkerState& ws, const Pattern& pattern,
@@ -385,13 +388,10 @@ bool Miner::TrySubgraphPrune(WorkerState& ws, const Pattern& pattern,
       ws, pos_res.i_value(), pos_res.cuts(), &ws.stats.residual_equiv_tests,
       [&](const PatternRegistry::CandidateMeta& meta,
           const RegisteredPattern& g1) {
-        // Optional eager gate: only a reference branch that never reached
-        // the current best score can justify pruning (Lemma 4), so a
-        // practical implementation may skip the tests outright.
-        if (config_.check_reference_score_first &&
-            meta.branch_best >= ws.best_score) {
-          return true;
-        }
+        // Lemma 4 bounds this branch by the reference's branch best; a
+        // reference whose branch could still enter the top-k never cuts,
+        // so it is dropped before any test.
+        if (!CannotEnterTop(ws.top, meta.branch_best)) return true;
         if (static_cast<std::int32_t>(pattern.edge_count()) >
             meta.edge_count) {
           return true;
@@ -413,9 +413,6 @@ bool Miner::TrySubgraphPrune(WorkerState& ws, const Pattern& pattern,
           LabelId l = g1.pattern.label(static_cast<NodeId>(v));
           if (pos_res.ResidualLabelSetContains(l, pos_graphs_)) return true;
         }
-        // The prune itself is gated on the reference branch's best score
-        // (checked last in the paper's order).
-        if (meta.branch_best >= ws.best_score) return true;
         pruned = true;
         *inherited_bound = meta.branch_best;
         return false;
@@ -432,10 +429,8 @@ bool Miner::TrySupergraphPrune(WorkerState& ws, const Pattern& pattern,
       ws, pos_res.i_value(), pos_res.cuts(), &ws.stats.residual_equiv_tests,
       [&](const PatternRegistry::CandidateMeta& meta,
           const RegisteredPattern& g1) {
-        if (config_.check_reference_score_first &&
-            meta.branch_best >= ws.best_score) {
-          return true;
-        }
+        // Proposition 2's bound, gated like Lemma 4's above.
+        if (!CannotEnterTop(ws.top, meta.branch_best)) return true;
         if (meta.node_count !=
             static_cast<std::int32_t>(pattern.node_count())) {
           return true;
@@ -451,9 +446,11 @@ bool Miner::TrySupergraphPrune(WorkerState& ws, const Pattern& pattern,
         } else {
           if (g1.neg_cuts != neg_res.cuts()) return true;
         }
+        // Equal cuts carry every negative embedding of g1 over only when
+        // no two of them share a cut (see TrySupergraphPrune's comment).
+        if (!g1.one_neg_embedding_per_cut) return true;
         ++ws.stats.subgraph_tests;
         if (!ws.tester->Contains(g1.pattern, pattern)) return true;
-        if (meta.branch_best >= ws.best_score) return true;
         pruned = true;
         *inherited_bound = meta.branch_best;
         return false;
@@ -463,7 +460,9 @@ bool Miner::TrySupergraphPrune(WorkerState& ws, const Pattern& pattern,
 
 void Miner::RegisterEntry(WorkerState& ws, const Pattern& pattern,
                           const ResidualSet& pos_res,
-                          const ResidualSet& neg_res, double branch_best) {
+                          const ResidualSet& neg_res,
+                          bool one_neg_embedding_per_cut,
+                          double branch_best) {
   RegisteredPattern entry;
   entry.pattern = pattern;
   entry.pos_i_value = pos_res.i_value();
@@ -471,6 +470,7 @@ void Miner::RegisterEntry(WorkerState& ws, const Pattern& pattern,
   entry.node_count = static_cast<std::int32_t>(pattern.node_count());
   entry.edge_count = static_cast<std::int32_t>(pattern.edge_count());
   entry.branch_best = branch_best;
+  entry.one_neg_embedding_per_cut = one_neg_embedding_per_cut;
   // The cut lists are only consulted (and kept) by the kLinearScan
   // ablation; the I-value path compares the integer compression, so the
   // copies would be made and immediately discarded.
@@ -496,7 +496,10 @@ double Miner::Dfs(WorkerState& ws, const Pattern& pattern,
             support_neg);
 
   if (static_cast<int>(pattern.edge_count()) >= config_.max_edges) {
-    return own_score;
+    // Lemma 4 maps a smaller pattern's growths onto growths of a larger
+    // reference, some of them past the size cap. Their naive bound keeps
+    // the reference's recorded branch best a bound on every branch it cuts.
+    return score_.UpperBound(freq_pos);
   }
   if (BudgetExhausted(ws)) return own_score;
   if (config_.use_naive_bound && support_pos == 0) {
@@ -507,13 +510,7 @@ double Miner::Dfs(WorkerState& ws, const Pattern& pattern,
     return own_score;
   }
   if (config_.use_naive_bound &&
-      score_.UpperBound(freq_pos) < ws.best_score) {
-    ++ws.stats.naive_prunes;
-    return own_score;
-  }
-  if (config_.stop_at_top_k_ties &&
-      static_cast<int>(ws.top.size()) >= config_.top_k &&
-      score_.UpperBound(freq_pos) <= ws.top.back().score) {
+      CannotEnterTop(ws.top, score_.UpperBound(freq_pos))) {
     ++ws.stats.naive_prunes;
     return own_score;
   }
@@ -523,18 +520,24 @@ double Miner::Dfs(WorkerState& ws, const Pattern& pattern,
 
   const ResidualSet pos_res = BuildResidual(pos_table, pos_graphs_);
   const ResidualSet neg_res = BuildResidual(neg_table, neg_graphs_);
+  const bool one_neg_embedding_per_cut =
+      OneEmbeddingPerCut(neg_table, neg_res);
 
   double inherited = 0.0;
-  if (config_.use_subgraph_pruning &&
+  // Lemma 4 needs every positive embedding of this pattern to extend to
+  // the reference (see TrySubgraphPrune).
+  if (config_.use_subgraph_pruning && OneEmbeddingPerCut(pos_table, pos_res) &&
       TrySubgraphPrune(ws, pattern, pos_res, &inherited)) {
     ++ws.stats.subgraph_prune_triggers;
-    RegisterEntry(ws, pattern, pos_res, neg_res, inherited);
+    RegisterEntry(ws, pattern, pos_res, neg_res, one_neg_embedding_per_cut,
+                  inherited);
     return std::max(own_score, inherited);
   }
   if (config_.use_supergraph_pruning &&
       TrySupergraphPrune(ws, pattern, pos_res, neg_res, &inherited)) {
     ++ws.stats.supergraph_prune_triggers;
-    RegisterEntry(ws, pattern, pos_res, neg_res, inherited);
+    RegisterEntry(ws, pattern, pos_res, neg_res, one_neg_embedding_per_cut,
+                  inherited);
     return std::max(own_score, inherited);
   }
 
@@ -577,7 +580,8 @@ double Miner::Dfs(WorkerState& ws, const Pattern& pattern,
   children.clear();
   ScratchPool<ChildWork>::Release(std::move(children));
 
-  RegisterEntry(ws, pattern, pos_res, neg_res, branch_best);
+  RegisterEntry(ws, pattern, pos_res, neg_res, one_neg_embedding_per_cut,
+                branch_best);
   return branch_best;
 }
 
@@ -643,7 +647,6 @@ Miner::WorkerState Miner::MakeWorker(std::size_t batch_size) {
   WorkerState ws(config_.residual_algo);
   ws.committed = &registry_;
   ws.top = top_;
-  ws.best_score = best_score_;
   ws.committed_visited = stats_.patterns_visited;
   if (batch_size <= 1) {
     // Nothing runs concurrently with a single-subtree batch, so the worker
@@ -659,8 +662,7 @@ Miner::WorkerState Miner::MakeWorker(std::size_t batch_size) {
 
 void Miner::CommitWorker(WorkerState& ws) {
   stats_.MergeFrom(ws.stats);
-  best_score_ = std::max(best_score_, ws.best_score);
-  for (MinedPattern& mined : ws.inserts) CommitTopEntry(std::move(mined));
+  for (MinedPattern& mined : ws.inserts) InsertTop(top_, std::move(mined));
   registry_.Absorb(std::move(ws.local));
 }
 
@@ -694,7 +696,6 @@ MineResult Miner::Mine() {
   registry_ = PatternRegistry(config_.residual_algo);
   stats_ = MinerStats{};
   top_.clear();
-  best_score_ = -std::numeric_limits<double>::infinity();
   timed_out_.store(false, std::memory_order_relaxed);
 
   // Root level: bucket every data edge into a one-edge pattern. A root is
@@ -755,12 +756,13 @@ MineResult Miner::Mine() {
   // root, so a worker that finishes an easy subtree takes a pending one
   // instead of the batch joining on its slowest member. Every subtree in a
   // batch runs against the same read-only committed snapshot (registry,
-  // top-k, best score, visit count) on its own WorkerState, then the
-  // workers are committed in ascending root-bucket order — so the search
-  // is a pure function of (inputs, root_batch), independent of thread
-  // count, steal order, and scheduling. With root_batch == 1 (the default)
-  // each snapshot holds every earlier root and the search is exactly the
-  // serial DFS dispatch.
+  // top-k, visit count) on its own WorkerState, then the workers are
+  // committed in ascending root-bucket order — so the search is a pure
+  // function of (inputs, root_batch), independent of thread count, steal
+  // order, and scheduling, and its ranked result does not depend on
+  // root_batch either. With root_batch == 1 (the default) each snapshot
+  // holds every earlier root and the search is exactly the serial DFS
+  // dispatch.
   const std::size_t batch_size = ResolveRootBatch(work.size());
   for (std::size_t begin = 0; begin < work.size(); begin += batch_size) {
     // Budget check between batches (the first batch always runs, as the
@@ -817,7 +819,9 @@ MineResult Miner::Mine() {
 
   MineResult result;
   result.top = top_;
-  result.best_score = best_score_;
+  // The first-ranked pattern is the best eligible score of the search: a
+  // pattern above every retained score always enters the list at the front.
+  if (!top_.empty()) result.best_score = top_.front().score;
   stats_.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

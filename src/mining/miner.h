@@ -64,7 +64,10 @@ using EmbeddingTable = std::vector<GraphEmbeddings>;
 /// (Lemma 4) and supergraph pruning (Proposition 2) against the registry of
 /// already-explored patterns, with residual-set equivalence via I-values
 /// (Lemma 6) or linear scans, and temporal subgraph tests via the
-/// configured matcher.
+/// configured matcher. All three share one score cut: once the top-k list
+/// is full, a branch whose bound is at most the k-th retained score is
+/// cut. No pattern of such a branch could enter the list, so a completed
+/// search ranks exactly the top-k the same DFS keeps with every prune off.
 ///
 /// Parallelism: root subtrees (`MinerConfig::root_batch != 1` with
 /// `num_threads > 1`). The root buckets are independent subtrees of the
@@ -73,7 +76,7 @@ using EmbeddingTable = std::vector<GraphEmbeddings>;
 /// instead of the batch joining on its slowest member. Each task runs the
 /// serial DFS on its own WorkerState — thread-local PatternRegistry, top-k
 /// list, MinerStats, subgraph tester, and scratch — seeded from a
-/// read-only snapshot of the registry/top/best-score committed by earlier
+/// read-only snapshot of the registry and top-k list committed by earlier
 /// batches. When the batch joins, worker results are committed in
 /// ascending root-bucket order: registries are absorbed, top-k insertions
 /// are replayed, and stats are summed. Batch membership and snapshots
@@ -81,13 +84,15 @@ using EmbeddingTable = std::vector<GraphEmbeddings>;
 /// what order tasks were stolen — so ranked output and every counter are
 /// bit-identical for any thread count and any steal schedule.
 ///
-/// root_batch == 1 (the default) is the exact serial search: each root's
+/// root_batch == 1 (the default) is the serial search: each root's
 /// snapshot holds every earlier root, which is what the serial DFS
 /// dispatch sees, and no scheduler is created. root_batch == 0 auto-sizes
 /// batches from the root count and thread count (see
-/// MinerConfig::root_batch). A max_millis wall-clock budget truncates
-/// either mode at a timing-dependent point, so timed-out runs may differ
-/// across thread counts (see MinerConfig::num_threads).
+/// MinerConfig::root_batch). A completed search ranks the same top-k for
+/// every root_batch; only the counters depend on it. A max_millis
+/// wall-clock budget truncates either mode at a timing-dependent point, so
+/// timed-out runs may differ across thread counts (see
+/// MinerConfig::num_threads).
 class Miner {
  public:
   /// The graph pointers must outlive the miner. Graphs must be finalized
@@ -165,15 +170,16 @@ class Miner {
     /// Read-only snapshot of the registries committed by earlier batches.
     /// Mutated only between batches, on the dispatching thread.
     const PatternRegistry* committed = nullptr;
-    /// Top-k list seeded from the committed top; updated like the serial
-    /// list so in-subtree gates (UpdateTop early-out, stop_at_top_k_ties)
-    /// see the scores a serial run would see.
+    /// Top-k list seeded from the committed top and updated like the
+    /// serial list. Once full, its k-th score is the worker's one score
+    /// cut (CannotEnterTop): every entry precedes the current pattern in
+    /// the serial visit order, so a cut against it never drops a pattern
+    /// of the exact top-k, whatever the batch.
     std::vector<MinedPattern> top;
     /// Every successful UpdateTop insertion, in insertion order — the
     /// replay log for the deterministic commit (an insertion that a later
     /// sibling commit invalidates is simply skipped during replay).
     std::vector<MinedPattern> inserts;
-    double best_score = 0.0;
     /// Patterns visited by committed batches when this batch started; the
     /// max_visited budget cut is committed + own, which is exact for
     /// root_batch == 1 and index-deterministic (siblings excluded) above.
@@ -205,7 +211,10 @@ class Miner {
   /// batches can: nothing else runs concurrently).
   WorkerState MakeWorker(std::size_t batch_size);
 
-  /// Returns the best score seen in the subtree rooted at `pattern`.
+  /// Returns a bound on the subtree rooted at `pattern`: the best score
+  /// seen in it, raised to the naive bound of every pattern cut at
+  /// max_edges, so that together with the k-th retained score it bounds
+  /// the subtree at any size (what Lemma 4 needs of a reference).
   /// Consumes both tables: embeddings are moved into child buckets and the
   /// spent buffers are recycled through the scratch arena.
   double Dfs(WorkerState& ws, const Pattern& pattern,
@@ -265,7 +274,7 @@ class Miner {
   /// them unconditionally.
   void RegisterEntry(WorkerState& ws, const Pattern& pattern,
                      const ResidualSet& pos_res, const ResidualSet& neg_res,
-                     double branch_best);
+                     bool one_neg_embedding_per_cut, double branch_best);
 
   /// Returns every embedding buffer in `table` to the scratch arena and
   /// empties the table.
@@ -277,21 +286,48 @@ class Miner {
 
   Pattern Grow(const Pattern& parent, const ExtensionKey& key) const;
 
+  /// Subgraph pruning (Lemma 4): cuts `pattern` against a registered
+  /// supergraph g1 whose recorded branch best cannot enter the top-k. The
+  /// lemma maps every growth of `pattern` onto the same growth of g1, which
+  /// needs every positive embedding of `pattern` to extend to one of g1
+  /// with the same cut. Equal residual sets only say that the cuts agree:
+  /// an embedding of g1 ending at a cut restricts to an embedding of
+  /// `pattern` ending there (at the earliest cut it cannot end earlier, so
+  /// the mapping sends last edge to last edge). The caller adds that no
+  /// two embeddings of `pattern` share a cut, so the restriction is the
+  /// only one there. Sets *inherited_bound to g1's branch best.
   bool TrySubgraphPrune(WorkerState& ws, const Pattern& pattern,
                         const ResidualSet& pos_res, double* inherited_bound);
+  /// Supergraph pruning (Proposition 2): cuts `pattern` against a
+  /// registered subgraph g1 on the same nodes whose recorded branch best
+  /// cannot enter the top-k. Mirroring Lemma 4, every negative embedding
+  /// of g1 must extend to one of `pattern` with the same cut: the residual
+  /// sets agree on both sides, and no two negative embeddings of g1 share
+  /// a cut. Sets *inherited_bound to g1's branch best.
   bool TrySupergraphPrune(WorkerState& ws, const Pattern& pattern,
                           const ResidualSet& pos_res,
                           const ResidualSet& neg_res,
                           double* inherited_bound);
 
+  /// The one score cut of the search, shared by the top-k insertions, the
+  /// naive bound F(x, 0) (Section 4.1), and the reference branch bests of
+  /// Lemma 4 and Proposition 2: true once `top` is full and `bound`, an
+  /// upper bound on every score in a branch, cannot exceed the k-th
+  /// retained score. UpdateTop would reject every pattern of such a
+  /// branch, because the k-th score only rises, so cutting it leaves the
+  /// ranked top-k of a completed search unchanged.
+  bool CannotEnterTop(const std::vector<MinedPattern>& top,
+                      double bound) const;
+
   void UpdateTop(WorkerState& ws, const Pattern& pattern, double freq_pos,
                  double freq_neg, double score, std::int64_t support_pos,
                  std::int64_t support_neg);
 
-  /// Replays one worker insertion into the committed top-k list (the
-  /// ordered insert of UpdateTop without the support/frequency gates,
-  /// which the worker already applied).
-  void CommitTopEntry(MinedPattern mined);
+  /// Inserts `mined` into `top` unless it cannot enter (CannotEnterTop),
+  /// keeping descending score order with ties in insertion order, and
+  /// trims the list to top_k. Used by UpdateTop on a worker's list and by
+  /// the commit replay on the committed one, so both rank alike.
+  void InsertTop(std::vector<MinedPattern>& top, MinedPattern mined) const;
 
   /// Folds one finished worker into the committed state. Must be called in
   /// ascending root-bucket order — that order is the determinism contract.
@@ -326,7 +362,6 @@ class Miner {
   /// budget between batches.
   MinerStats stats_;
   std::vector<MinedPattern> top_;
-  double best_score_;
   /// Latched by whichever worker observes the max_millis cutoff first so
   /// sibling subtrees stop promptly (truncation points are
   /// timing-dependent either way; see MinerConfig::num_threads).

@@ -29,7 +29,9 @@ struct MinerConfig {
   /// (Figure 14's knob). Must be >= 1.
   int max_edges = 6;
 
-  /// How many top-scoring patterns to retain in the result.
+  /// How many top-scoring patterns to retain in the result. Must be >= 1.
+  /// Once the list is full, its k-th score is the one score cut of the
+  /// naive bound and both structural prunes (see Miner).
   int top_k = 32;
 
   /// Naive upper-bound pruning (Section 4.1). All paper baselines use it.
@@ -63,25 +65,6 @@ struct MinerConfig {
   /// good F* is found early (improves pruning; does not affect coverage).
   bool order_children_by_score = true;
 
-  /// Stop exploring a branch once the retained top-k is full and the
-  /// branch's upper bound cannot *exceed* the k-th best score (it could
-  /// only add more ties). On cleanly separable data the log-ratio score
-  /// has large tie plateaus of "perfect" patterns, and query formulation
-  /// only needs top_k of them; this cuts those plateaus. Off by default to
-  /// preserve the paper-exact search semantics measured in Figure 13.
-  bool stop_at_top_k_ties = false;
-
-  /// Order of pruning-condition evaluation. The paper evaluates the
-  /// lemmas' structural conditions first — residual equivalence, then the
-  /// temporal subgraph test, then the label condition — and gates the
-  /// actual prune on the reference branch's best score last (Section 4.2;
-  /// its reported overheads, 70M subgraph tests and 400M residual tests
-  /// for sshd-login, only arise in this order). Setting this flag checks
-  /// the cheap score gate first instead, skipping the expensive tests on
-  /// unusable references — a practical speedup used by the accuracy
-  /// pipeline, at the cost of no longer measuring the paper's overheads.
-  bool check_reference_score_first = false;
-
   /// Threads for mining root subtrees concurrently. 1 = fully serial; 0 =
   /// all hardware threads. Threads take effect only with root_batch != 1:
   /// whole root subtrees then run as stealable tasks on a steal-capable
@@ -110,22 +93,22 @@ struct MinerConfig {
   /// whose snapshot contains every earlier root, which is precisely what
   /// the serial DFS dispatch sees, and num_threads is ignored. Values > 1
   /// trade pruning visibility for parallelism: subtrees in the same batch
-  /// cannot see each other's registrations or best scores, so the search
-  /// explores (somewhat) more patterns and its ranked tail may cut score
-  /// ties differently than root_batch=1 — the maximum score is preserved
-  /// either way (the pruning rules are sound under any registry subset,
-  /// Theorem 2). For a fixed root_batch the search is deterministic: batch
-  /// membership and snapshots depend only on root indices, never on
-  /// timing, thread count, or steal order. Keep it an explicit constant
-  /// when comparing runs across machines.
+  /// cannot see each other's registrations or top-k entries, so the search
+  /// visits (somewhat) more patterns. The ranked result does not move: the
+  /// one score cut only drops patterns that the same DFS with every prune
+  /// off would not retain, so a completed search ranks the identical top-k
+  /// (patterns, scores, order) for every root_batch. Only the MinerStats
+  /// counters depend on it. For a fixed root_batch those counters are
+  /// deterministic too: batch membership and snapshots depend only on root
+  /// indices, never on timing, thread count, or steal order.
   ///
   /// 0 is the adaptive sentinel: batches are auto-sized from the
   /// root-bucket count and the resolved thread count (a few rounds,
-  /// oversubscribed so steals level skew). Adaptive runs are repeatable
-  /// for a fixed (corpus, num_threads) pair, but because the derived
-  /// batch size changes with the thread count, results are comparable
-  /// across thread counts only in best score, not in ranked tail —
-  /// measure with explicit values, deploy with 0.
+  /// oversubscribed so steals level skew). Completed adaptive runs rank
+  /// like every other root_batch; their counters are repeatable for a
+  /// fixed (corpus, num_threads) pair. Truncated runs (max_visited or
+  /// max_millis) stop at a batch-dependent point, so their ranked output
+  /// is comparable only at a fixed root_batch.
   int root_batch = 1;
 
   /// Safety cap on visited patterns; 0 = unlimited.

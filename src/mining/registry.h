@@ -21,9 +21,14 @@ struct RegisteredPattern {
   std::int64_t neg_i_value = 0;
   std::int32_t node_count = 0;
   std::int32_t edge_count = 0;
-  /// Upper bound on the discriminative score of every pattern in this
-  /// pattern's branch (exact maximum for fully explored branches).
+  /// Bound on this pattern's branch at any size: every pattern in it that
+  /// could enter the top-k scores at most the larger of this value and the
+  /// k-th retained score when it was recorded (see Miner::Dfs).
   double branch_best = 0.0;
+  /// True if no two of this pattern's negative embeddings share a cut;
+  /// Proposition 2 can only use references where it holds (see
+  /// Miner::TrySupergraphPrune).
+  bool one_neg_embedding_per_cut = false;
   /// Materialized residual cut lists — stored only under
   /// ResidualEquivAlgo::kLinearScan, where the equivalence test is a
   /// linear scan over these vectors (the LinearScan ablation).

@@ -195,7 +195,10 @@ double GspanMiner::Dfs(const DfsCode& code, SEmbeddingTable pos_table,
   if (config_.use_naive_bound && score_.UpperBound(freq_pos) < best_score_) {
     return own_score;
   }
-  if (config_.stop_at_top_k_ties &&
+  // Once the top-k list is full, a branch bounded by its k-th score cannot
+  // enter it either (UpdateTop rejects ties), so cutting it leaves the
+  // result unchanged.
+  if (config_.use_naive_bound &&
       static_cast<int>(top_.size()) >= config_.top_k &&
       score_.UpperBound(freq_pos) <= top_.back().score) {
     return own_score;

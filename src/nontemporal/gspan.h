@@ -23,8 +23,6 @@ struct GspanConfig {
   bool use_naive_bound = true;
   double min_pos_freq = 0.0;
   bool order_children_by_score = true;
-  /// See MinerConfig::stop_at_top_k_ties.
-  bool stop_at_top_k_ties = false;
   std::int64_t max_embeddings_per_graph = 0;  // 0 = unlimited
   std::int64_t max_visited = 0;               // 0 = unlimited
   /// Wall-clock budget in milliseconds; 0 = unlimited.

@@ -31,16 +31,16 @@ struct PipelineConfig {
   /// Search window = longest observed training lifetime * window_slack.
   double window_slack = 1.25;
   std::int64_t search_match_cap = 200000;
-  /// Base miner configuration; max_edges is overridden per run. The
-  /// accuracy pipeline uses the top-k tie cut (query formulation needs the
-  /// top patterns, not the full tie plateau) and a support floor of 0.5 —
-  /// a behaviour signature occurs in most runs of the behaviour.
+  /// Base miner configuration; max_edges is overridden per run. It is the
+  /// TGMiner preset with a 64-pattern list and a support floor of 0.75 — a
+  /// behaviour signature occurs in most runs of the behaviour. The miner's
+  /// top-k score cut stops the search on tie plateaus once the list is
+  /// full, so query formulation gets the top patterns without mining the
+  /// whole plateau.
   MinerConfig miner = [] {
     MinerConfig c = MinerConfig::TGMiner();
     c.min_pos_freq = 0.75;
     c.max_embeddings_per_graph = 2000;
-    c.stop_at_top_k_ties = true;
-    c.check_reference_score_first = true;
     c.top_k = 64;
     return c;
   }();
@@ -48,7 +48,6 @@ struct PipelineConfig {
     GspanConfig c;
     c.min_pos_freq = 0.75;
     c.max_embeddings_per_graph = 2000;
-    c.stop_at_top_k_ties = true;
     c.top_k = 64;
     return c;
   }();

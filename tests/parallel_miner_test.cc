@@ -10,7 +10,10 @@
 // WorkerState seeded from the committed snapshot, and commits in
 // ascending root-bucket order — pinned below across 1/2/4/8 threads and
 // across repeated runs (steal schedules vary run to run). With
-// root_batch == 1 num_threads is inert: no scheduler is created.
+// root_batch == 1 num_threads is inert: no scheduler is created. Completed
+// searches also rank identically for every root_batch, because the top-k
+// score cut never drops a pattern the serial search keeps; only the
+// counters depend on root_batch.
 
 #include <gtest/gtest.h>
 
@@ -23,24 +26,7 @@
 namespace tgm {
 namespace {
 
-/// Asserts bitwise equality of two mining results (ranked list + best
-/// score). Stats are intentionally not compared: counters such as
-/// elapsed_seconds are timing-dependent by nature.
-void ExpectIdenticalResults(const MineResult& want, const MineResult& got,
-                            int num_threads) {
-  SCOPED_TRACE(::testing::Message() << "num_threads=" << num_threads);
-  EXPECT_EQ(want.best_score, got.best_score);
-  ASSERT_EQ(want.top.size(), got.top.size());
-  for (std::size_t i = 0; i < want.top.size(); ++i) {
-    SCOPED_TRACE(::testing::Message() << "rank " << i);
-    EXPECT_TRUE(want.top[i].pattern == got.top[i].pattern);
-    EXPECT_EQ(want.top[i].score, got.top[i].score);
-    EXPECT_EQ(want.top[i].freq_pos, got.top[i].freq_pos);
-    EXPECT_EQ(want.top[i].freq_neg, got.top[i].freq_neg);
-    EXPECT_EQ(want.top[i].support_pos, got.top[i].support_pos);
-    EXPECT_EQ(want.top[i].support_neg, got.top[i].support_neg);
-  }
-}
+using ::tgm::testing::ExpectIdenticalResults;
 
 /// The search itself must be identical, not just the output: thread count
 /// may not change what gets visited, expanded, tested, pruned, or capped —
@@ -73,7 +59,8 @@ void ExpectThreadCountInvariance(const MinerConfig& base,
     MinerConfig config = base;
     config.num_threads = num_threads;
     MineResult got = Miner(config, pos, neg).Mine();
-    ExpectIdenticalResults(want, got, num_threads);
+    SCOPED_TRACE(::testing::Message() << "num_threads=" << num_threads);
+    ExpectIdenticalResults(want, got);
     ExpectIdenticalSearch(want, got);
   }
 }
@@ -147,9 +134,9 @@ TEST(ParallelMinerConfigTest, EmbeddingCapStaysDeterministic) {
 }
 
 TEST(ParallelMinerConfigTest, PipelineShapedConfigRanksIdentically) {
-  // The accuracy pipeline's miner settings (support floor, tie cut, eager
-  // score gate) exercise every pruning path; thread count must still be
-  // invisible in the results.
+  // The accuracy pipeline's miner settings (support floor, small top-k
+  // list) make the score cut fire on every pruning path; thread count must
+  // still be invisible in the results.
   std::mt19937_64 rng(47);
   std::vector<TemporalGraph> pos;
   std::vector<TemporalGraph> neg;
@@ -160,8 +147,6 @@ TEST(ParallelMinerConfigTest, PipelineShapedConfigRanksIdentically) {
   MinerConfig config = MinerConfig::TGMiner();
   config.max_edges = 4;
   config.min_pos_freq = 0.5;
-  config.stop_at_top_k_ties = true;
-  config.check_reference_score_first = true;
   config.top_k = 16;
   ExpectThreadCountInvariance(config, pos, neg);
 }
@@ -246,38 +231,43 @@ TEST_P(RootSubtreeParallelTest, AblationConfigsRankIdenticallyAcrossThreads) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RootSubtreeParallelTest,
                          ::testing::Range(0, 4));
 
-TEST(RootSubtreeParallelTest, PreservesBestScoreOfSerialSearch) {
-  // Subtrees in a batch cannot see each other's registrations, so the
-  // batched search prunes (at most) less than root_batch=1 and its ranked
-  // tail may cut ties differently — but the pruning rules stay sound
-  // under any registry subset, so the maximum score must match the fully
-  // serial search exactly (Theorem 2 across modes).
+TEST(RootSubtreeParallelTest, RanksIdenticallyToSerialSearch) {
+  // Subtrees in a batch cannot see each other's registrations or top-k
+  // entries, so the batched search prunes less than root_batch=1. Its
+  // ranked list must still equal the serial one: every entry of a worker's
+  // top-k list precedes the current pattern in the serial visit order, so
+  // the top-k score cut never drops a pattern the serial search keeps.
+  // Small lists make the cut fire.
   std::mt19937_64 rng(29);
-  for (int trial = 0; trial < 4; ++trial) {
+  for (int trial = 0; trial < 16; ++trial) {
     std::vector<TemporalGraph> pos;
     std::vector<TemporalGraph> neg;
     for (int i = 0; i < 4; ++i) {
       pos.push_back(tgm::testing::RandomGraph(rng, 5, 9, 2));
       neg.push_back(tgm::testing::RandomGraph(rng, 5, 9, 2));
     }
-    MinerConfig serial = MinerConfig::TGMiner();
-    serial.max_edges = 3;
-    MineResult want = Miner(serial, pos, neg).Mine();
-    MinerConfig batched = serial;
-    batched.root_batch = 8;
-    batched.num_threads = 4;
-    MineResult got = Miner(batched, pos, neg).Mine();
-    EXPECT_DOUBLE_EQ(want.best_score, got.best_score);
-    ASSERT_FALSE(want.top.empty());
-    ASSERT_FALSE(got.top.empty());
-    EXPECT_EQ(want.top[0].score, got.top[0].score);
+    for (int top_k : {1, 3, 8}) {
+      MinerConfig serial = MinerConfig::TGMiner();
+      serial.max_edges = 3;
+      serial.top_k = top_k;
+      MineResult want = Miner(serial, pos, neg).Mine();
+      for (int root_batch : {4, 0}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "trial=" << trial << " top_k=" << top_k
+                     << " root_batch=" << root_batch);
+        MinerConfig batched = serial;
+        batched.root_batch = root_batch;
+        batched.num_threads = 4;
+        ExpectIdenticalResults(want, Miner(batched, pos, neg).Mine());
+      }
+    }
   }
 }
 
 TEST(RootSubtreeParallelTest, MinPosFreqAndTieCutConfigsStayInvariant) {
-  // The pipeline-shaped knobs (support floor, tie cut, eager score gate)
-  // gate on per-worker state; they must stay thread-count-invariant in
-  // batched mode too.
+  // The pipeline-shaped knobs (support floor, small top-k list) make the
+  // score cut gate on per-worker state; it must stay thread-count-invariant
+  // in batched mode too.
   std::mt19937_64 rng(53);
   std::vector<TemporalGraph> pos;
   std::vector<TemporalGraph> neg;
@@ -288,8 +278,6 @@ TEST(RootSubtreeParallelTest, MinPosFreqAndTieCutConfigsStayInvariant) {
   MinerConfig config = MinerConfig::TGMiner();
   config.max_edges = 4;
   config.min_pos_freq = 0.5;
-  config.stop_at_top_k_ties = true;
-  config.check_reference_score_first = true;
   config.top_k = 16;
   config.root_batch = 4;
   ExpectThreadCountInvariance(config, pos, neg);
@@ -357,16 +345,16 @@ TEST(RootSubtreeParallelTest, RepeatedStealingRunsAreIdentical) {
   for (int run = 0; run < 3; ++run) {
     SCOPED_TRACE(::testing::Message() << "run " << run);
     MineResult got = Miner(config, pos, neg).Mine();
-    ExpectIdenticalResults(want, got, config.num_threads);
+    ExpectIdenticalResults(want, got);
     ExpectIdenticalSearch(want, got);
   }
 }
 
 TEST(RootSubtreeParallelTest, AdaptiveRootBatchIsRepeatableAndSound) {
   // root_batch == 0 derives the batch size from the thread count, so its
-  // ranked tail is only comparable at fixed num_threads — pin that
-  // repeatability, plus best-score preservation against the fully serial
-  // search (the soundness guarantee adaptive sizing must not break).
+  // counters are only comparable at fixed num_threads — pin that
+  // repeatability. Its ranked list must equal the fully serial search's,
+  // like every other root_batch, at every list size that fills.
   std::mt19937_64 rng(223);
   std::vector<TemporalGraph> pos;
   std::vector<TemporalGraph> neg;
@@ -374,30 +362,33 @@ TEST(RootSubtreeParallelTest, AdaptiveRootBatchIsRepeatableAndSound) {
     pos.push_back(tgm::testing::RandomGraph(rng, 5, 9, 2));
     neg.push_back(tgm::testing::RandomGraph(rng, 5, 9, 2));
   }
-  MinerConfig serial = MinerConfig::TGMiner();
-  serial.max_edges = 3;
-  MineResult want = Miner(serial, pos, neg).Mine();
+  for (int top_k : {1, 3, 8, 16}) {
+    SCOPED_TRACE(::testing::Message() << "top_k=" << top_k);
+    MinerConfig serial = MinerConfig::TGMiner();
+    serial.max_edges = 3;
+    serial.top_k = top_k;
+    MineResult want = Miner(serial, pos, neg).Mine();
 
-  MinerConfig adaptive = serial;
-  adaptive.root_batch = 0;
-  adaptive.num_threads = 4;
-  MineResult first = Miner(adaptive, pos, neg).Mine();
-  EXPECT_DOUBLE_EQ(want.best_score, first.best_score);
-  ASSERT_FALSE(first.top.empty());
-  EXPECT_EQ(want.top[0].score, first.top[0].score);
-  for (int run = 0; run < 2; ++run) {
-    SCOPED_TRACE(::testing::Message() << "run " << run);
-    MineResult got = Miner(adaptive, pos, neg).Mine();
-    ExpectIdenticalResults(first, got, adaptive.num_threads);
-    EXPECT_EQ(first.stats.patterns_visited, got.stats.patterns_visited);
+    MinerConfig adaptive = serial;
+    adaptive.root_batch = 0;
+    adaptive.num_threads = 4;
+    MineResult first = Miner(adaptive, pos, neg).Mine();
+    ExpectIdenticalResults(want, first);
+    for (int run = 0; run < 2; ++run) {
+      SCOPED_TRACE(::testing::Message() << "run " << run);
+      MineResult got = Miner(adaptive, pos, neg).Mine();
+      ExpectIdenticalResults(first, got);
+      EXPECT_EQ(first.stats.patterns_visited, got.stats.patterns_visited);
+    }
+
+    // With one thread the sentinel degenerates to the exact serial search.
+    MinerConfig adaptive_serial = serial;
+    adaptive_serial.root_batch = 0;
+    MineResult degenerate = Miner(adaptive_serial, pos, neg).Mine();
+    ExpectIdenticalResults(want, degenerate);
+    EXPECT_EQ(want.stats.patterns_visited,
+              degenerate.stats.patterns_visited);
   }
-
-  // With one thread the sentinel degenerates to the exact serial search.
-  MinerConfig adaptive_serial = serial;
-  adaptive_serial.root_batch = 0;
-  MineResult degenerate = Miner(adaptive_serial, pos, neg).Mine();
-  ExpectIdenticalResults(want, degenerate, 1);
-  EXPECT_EQ(want.stats.patterns_visited, degenerate.stats.patterns_visited);
 }
 
 TEST(ParallelMinerConfigTest, ZeroMeansHardwareThreadsAndStillMatches) {
@@ -414,7 +405,7 @@ TEST(ParallelMinerConfigTest, ZeroMeansHardwareThreadsAndStillMatches) {
   MinerConfig hw = serial;
   hw.num_threads = 0;  // all hardware threads
   MineResult got = Miner(hw, pos, neg).Mine();
-  ExpectIdenticalResults(want, got, 0);
+  ExpectIdenticalResults(want, got);
 }
 
 }  // namespace

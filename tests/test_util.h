@@ -1,13 +1,35 @@
 #ifndef TGM_TESTS_TEST_UTIL_H_
 #define TGM_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <random>
 #include <vector>
 
+#include "mining/result.h"
 #include "temporal/pattern.h"
 #include "temporal/temporal_graph.h"
 
 namespace tgm::testing {
+
+/// Asserts bitwise equality of two mining results (ranked list + best
+/// score). Stats are intentionally not compared: counters such as
+/// elapsed_seconds are timing-dependent by nature, and pruning changes
+/// what is visited without changing what is ranked.
+inline void ExpectIdenticalResults(const MineResult& want,
+                                   const MineResult& got) {
+  EXPECT_EQ(want.best_score, got.best_score);
+  ASSERT_EQ(want.top.size(), got.top.size());
+  for (std::size_t i = 0; i < want.top.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "rank " << i);
+    EXPECT_TRUE(want.top[i].pattern == got.top[i].pattern);
+    EXPECT_EQ(want.top[i].score, got.top[i].score);
+    EXPECT_EQ(want.top[i].freq_pos, got.top[i].freq_pos);
+    EXPECT_EQ(want.top[i].freq_neg, got.top[i].freq_neg);
+    EXPECT_EQ(want.top[i].support_pos, got.top[i].support_pos);
+    EXPECT_EQ(want.top[i].support_neg, got.top[i].support_neg);
+  }
+}
 
 /// Builds a finalized temporal graph from labels and (src, dst, ts) edges.
 inline TemporalGraph MakeGraph(
