@@ -8,9 +8,13 @@
 // every query per event, the index only the partials the event's entities
 // can extend. Shard rows split the same workload across worker shards
 // (events/sec needs a multicore host to show wall-clock scaling; on a
-// 1-core host the rows pin the broadcast/merge overhead instead). The
-// hot-query row replays a hub-skewed stream against a single query — the
-// workload query partitioning cannot spread (one query = one shard).
+// 1-core host the rows pin the broadcast/merge overhead instead). Every
+// row runs at the same batch size, so the 1-shard row is the shard rows'
+// baseline, and every hardware thread spins for ~1.5 s before the first
+// shard row: after an idle spell a shared host can run the first second
+// or so of a thread burst on about one core. The hot-query row replays a
+// hub-skewed stream against a single query — the workload query
+// partitioning cannot spread (one query = one shard).
 //
 // Flags: --queries=Q (largest query-count step), --events=N, --window=W,
 // --shards=S (extra shard counts, plumbed like --threads), --max_gap=G
@@ -26,8 +30,10 @@
 #include <cstdlib>
 #include <new>
 #include <random>
+#include <thread>
 
 #include "bench_common.h"
+#include "exec/fork_join.h"
 #include "query/stream/engine.h"
 #include "temporal/constraints.h"
 
@@ -76,6 +82,24 @@ Pattern RandomQuery(std::mt19937_64& rng, int num_edges, int num_labels) {
   return p;
 }
 
+/// Events per dispatch batch for every engine this bench builds.
+constexpr std::size_t kBatchSize = 32;
+
+/// Spins every hardware thread for `seconds`, so thread rows that follow
+/// run on warm cores.
+void WarmAllThreads(double seconds) {
+  const auto until = std::chrono::steady_clock::now() +
+                     std::chrono::duration<double>(seconds);
+  std::vector<std::thread> spinners;
+  for (int t = ResolveNumThreads(0); t > 0; --t) {
+    spinners.emplace_back([until] {
+      while (std::chrono::steady_clock::now() < until) {
+      }
+    });
+  }
+  for (std::thread& t : spinners) t.join();
+}
+
 struct RunStats {
   double events_per_sec = 0;
   std::int64_t alerts = 0;
@@ -93,7 +117,7 @@ RunStats RunEngine(const std::vector<Pattern>& queries,
   options.window = window;
   options.entity_index = entity_index;
   options.num_shards = num_shards;
-  options.batch_size = num_shards > 1 ? 32 : 1;
+  options.batch_size = kBatchSize;
   options.max_partials_per_query = 50000;
   options.guard_expiry = guard_expiry;
   StreamEngine engine(options);
@@ -241,6 +265,7 @@ int main(int argc, char** argv) {
       if (extra_shards > 1 && extra_shards != 2 && extra_shards != 4) {
         shard_steps.push_back(extra_shards);
       }
+      WarmAllThreads(1.5);
       for (int shards : shard_steps) {
         check_mode("index", shards, row("index", true, shards));
       }
@@ -348,17 +373,18 @@ int main(int argc, char** argv) {
   }
 
   // Steady-state dispatch allocations: with the double-buffered span
-  // dispatch, feeding events through a warm engine whose only query
-  // matches nothing must not allocate at all — no per-batch copies, no
-  // per-event scratch growth — on the inline (shards=1) path. A
-  // regression here (a reintroduced batch copy, a per-event vector) fails
-  // the bench, not just slows it.
-  {
-    const std::int64_t rr_allocs = [&] {
+  // dispatch and the pool's by-reference body, feeding events through a
+  // warm engine whose only query matches nothing must not allocate at
+  // all — no per-batch copies, no per-event scratch growth, no per-call
+  // task or error storage — inline (1 shard) or fanned out (2 and 4
+  // shards). A regression here (a reintroduced batch copy, a per-event
+  // vector, a type-erased task) fails the bench, not just slows it.
+  for (int shards : {1, 2, 4}) {
+    const std::int64_t allocs = [&] {
       StreamEngine::Options options;
       options.window = window;
-      options.num_shards = 1;
-      options.batch_size = 32;
+      options.num_shards = shards;
+      options.batch_size = kBatchSize;
       StreamEngine engine(options);
       // Labels absent from the stream: the seed-dispatch bitmap skips
       // every event, isolating the dispatch path itself.
@@ -375,19 +401,20 @@ int main(int argc, char** argv) {
       engine.Flush(sink);
       return g_heap_allocs.load(std::memory_order_relaxed) - before;
     }();
-    std::printf("  (steady-state dispatch allocations over %zu events: "
-                "%lld)\n",
-                events.size() - events.size() / 2,
-                static_cast<long long>(rr_allocs));
-    if (rr_allocs != 0) {
+    std::printf("  (steady-state dispatch allocations over %zu events at "
+                "%d shard(s): %lld)\n",
+                events.size() - events.size() / 2, shards,
+                static_cast<long long>(allocs));
+    if (allocs != 0) {
       std::fprintf(stderr,
-                   "error: batch dispatch allocated in steady state "
-                   "(%lld; expected 0)\n",
-                   static_cast<long long>(rr_allocs));
+                   "error: batch dispatch allocated in steady state at %d "
+                   "shard(s) (%lld; expected 0)\n",
+                   shards, static_cast<long long>(allocs));
       ok = false;
     }
-    json.Add("StreamEngine/dispatch_steady_allocs", 0.0,
-             {{"rr_allocs", static_cast<double>(rr_allocs)}});
+    json.Add("StreamEngine/dispatch_steady_allocs/shards:" +
+                 std::to_string(shards),
+             0.0, {{"allocs", static_cast<double>(allocs)}});
   }
 
   std::printf("(events=%lld window=%lld entities=%lld; scan = wildcard "

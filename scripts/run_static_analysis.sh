@@ -39,10 +39,10 @@ Modes:
                              4 tgm-lint              (needs python3)
                            Missing clang tooling SKIPs gates 2/3 loudly;
                            with --require-clang the skip is a failure.
-  --seeded-defect[=WHICH]  Prove the wall bites: seed a historical or
+  --seeded-defect[=WHICH]  Prove the wall bites: seed a locking or
                            synthetic defect and require the gate to
                            REJECT it. WHICH is one of
-                             nested-join     (gate 2, needs clang++)
+                             locked-work     (gate 2, needs clang++)
                              determinism     (gate 4)
                              layering        (gate 4)
                              status-discard  (gate 4)
@@ -108,7 +108,7 @@ if [[ "${MODE}" == "audit" ]]; then
 fi
 
 # --- Seeded-defect mode: every gate must bite ---------------------------
-# Each variant re-introduces a defect (a historical deadlock for the
+# Each variant re-introduces a defect (a pool deadlock for the
 # thread-safety wall, one synthetic violation per tgm-lint check) and
 # requires the gate to REJECT it — proving enforcement, not just that
 # clean code passes.
@@ -119,36 +119,38 @@ if [[ "${MODE}" == "seed" ]]; then
   want() { [[ "${SEED_WHICH}" == "all" || "${SEED_WHICH}" == "$1" ]]; }
   RAN_ANY=0
 
-  if want nested-join; then
+  if want locked-work; then
     RAN_ANY=1
     if [[ ${HAVE_CLANGXX} -eq 0 ]]; then
-      skip_or_fail "seed nested-join" "${CLANGXX}"
+      skip_or_fail "seed locked-work" "${CLANGXX}"
     else
-      echo "== Seeded defect [nested-join]: blocking join in TaskGroup"
+      echo "== Seeded defect [locked-work]: pool caller runs bodies under mu_"
       mkdir -p "${WORK}/exec"
-      # Swap TaskGroup::ParkUntilProgress's bounded park for helping while
-      # wait_mu_ is held — the old ThreadPool nested-Submit deadlock
-      # re-born. HelpOne() is TGM_EXCLUDES(wait_mu_); the wall must reject.
-      sed 's/done_cv_.WaitFor(lock, kParkTimeout);/while (pending_ != 0) HelpOne();/' \
-        src/exec/work_stealing.cc > "${WORK}/exec/work_stealing.cc"
-      cmp -s src/exec/work_stealing.cc "${WORK}/exec/work_stealing.cc" \
-        && fail "seed pattern did not match work_stealing.cc — update the sed in $0"
+      # Swap ForkJoinPool::RunShared's wait for joined workers for running
+      # bodies while mu_ is held: joined workers can then never leave the
+      # call (leaving takes mu_), and a throwing body re-locks mu_ on the
+      # thread that holds it. Work() is TGM_EXCLUDES(mu_); the wall must
+      # reject.
+      sed 's/while (joined_ != 0) done_cv_.Wait(lock);/while (joined_ != 0) Work(call);/' \
+        src/exec/fork_join.cc > "${WORK}/exec/fork_join.cc"
+      cmp -s src/exec/fork_join.cc "${WORK}/exec/fork_join.cc" \
+        && fail "seed pattern did not match fork_join.cc — update the sed in $0"
       set +e
       OUT="$("${CLANGXX}" -std=c++20 -fsyntax-only \
           -Wthread-safety -Werror=thread-safety \
-          -I src "${WORK}/exec/work_stealing.cc" 2>&1)"
+          -I src "${WORK}/exec/fork_join.cc" 2>&1)"
       STATUS=$?
       set -e
       [[ ${STATUS} -ne 0 ]] \
-        || fail "seeded nested-join deadlock COMPILED — the wall is not biting"
+        || fail "seeded locked-work deadlock COMPILED — the wall is not biting"
       echo "${OUT}" | grep -q 'thread-safety' \
-        || fail "seeded scheduler build failed for the wrong reason: ${OUT}"
-      echo "   OK: seeded nested-join deadlock rejected by -Werror=thread-safety:"
-      echo "${OUT}" | grep "wait_mu_\|thread-safety" | head -3 | sed 's/^/   | /'
+        || fail "seeded pool build failed for the wrong reason: ${OUT}"
+      echo "   OK: seeded locked-work deadlock rejected by -Werror=thread-safety:"
+      echo "${OUT}" | grep "mu_\|thread-safety" | head -3 | sed 's/^/   | /'
       "${CLANGXX}" -std=c++20 -fsyntax-only -Wthread-safety \
-          -Werror=thread-safety -I src src/exec/work_stealing.cc \
-        || fail "pristine work_stealing.cc does not pass the wall"
-      echo "   OK: pristine scheduler passes the same check"
+          -Werror=thread-safety -I src src/exec/fork_join.cc \
+        || fail "pristine fork_join.cc does not pass the wall"
+      echo "   OK: pristine pool passes the same check"
     fi
   fi
 

@@ -18,11 +18,11 @@
 /// capability attributes — the analysis can only track acquisitions it can
 /// see. Clang builds add `-Wthread-safety -Werror=thread-safety`
 /// (top-level CMakeLists), so a locking-discipline violation is a build
-/// failure: a blocking join that helps run tasks while holding the
-/// scheduler's wait mutex (calling a TGM_EXCLUDES(wait_mu_) function from
-/// inside the locked wait) is exactly the class of bug this rejects at
-/// compile time — `scripts/run_static_analysis.sh --seeded-defect`
-/// re-introduces that pattern and asserts the build fails.
+/// failure: a fork-join caller that runs bodies while holding the pool
+/// mutex (calling the TGM_EXCLUDES(mu_) ForkJoinPool::Work from inside
+/// the locked wait) is exactly the class of bug this rejects at compile
+/// time — `scripts/run_static_analysis.sh --seeded-defect` introduces
+/// that pattern and asserts the build fails.
 
 #if defined(__clang__) && defined(__has_attribute)
 #define TGM_TS_ATTRIBUTE__(x) __attribute__((x))

@@ -1,7 +1,6 @@
 #ifndef TGM_BASE_MUTEX_H_
 #define TGM_BASE_MUTEX_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -67,19 +66,6 @@ class CondVar {
   template <typename Pred>
   void Wait(MutexLock& lock, Pred&& pred) {
     cv_.wait(lock.native(), std::forward<Pred>(pred));
-  }
-
-  template <typename Rep, typename Period>
-  void WaitFor(MutexLock& lock,
-               const std::chrono::duration<Rep, Period>& timeout) {
-    cv_.wait_for(lock.native(), timeout);
-  }
-
-  template <typename Rep, typename Period, typename Pred>
-  bool WaitFor(MutexLock& lock,
-               const std::chrono::duration<Rep, Period>& timeout,
-               Pred&& pred) {
-    return cv_.wait_for(lock.native(), timeout, std::forward<Pred>(pred));
   }
 
   void NotifyOne() { cv_.notify_one(); }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "base/invariants.h"
 #include "mining/key_index.h"
 
 namespace tgm {
@@ -44,16 +43,14 @@ Miner::Miner(const MinerConfig& config,
       neg_graphs_(std::move(negatives)),
       score_(config.score_kind, static_cast<std::int64_t>(pos_graphs_.size()),
              static_cast<std::int64_t>(neg_graphs_.size()), config.epsilon),
+      tester_(MakeTester(config.subgraph_algo)),
+      registry_(config.residual_algo),
       // Root subtrees are the only parallel unit, so threads are started
       // only when batches can hold more than one subtree (root_batch 0 or
       // > 1; negatives clamp to the serial 1).
-      pool_(ResolveNumThreads(config.num_threads) > 1 &&
-                    (config.root_batch == 0 || config.root_batch > 1)
-                ? std::make_unique<StealScheduler>(
-                      ResolveNumThreads(config.num_threads) - 1)
-                : nullptr),
-      tester_(MakeTester(config.subgraph_algo)),
-      registry_(config.residual_algo) {
+      pool_(config.root_batch == 0 || config.root_batch > 1
+                ? ResolveNumThreads(config.num_threads) - 1
+                : 0) {
   TGM_CHECK(config_.max_edges >= 1);
   TGM_CHECK(config_.top_k >= 1);
   TGM_CHECK(!pos_graphs_.empty());
@@ -630,14 +627,14 @@ std::size_t Miner::ResolveRootBatch(std::size_t root_count) const {
     return static_cast<std::size_t>(std::max(config_.root_batch, 1));
   }
   const std::size_t threads =
-      pool_ != nullptr ? static_cast<std::size_t>(pool_->num_workers()) + 1
-                       : 1;
+      static_cast<std::size_t>(pool_.num_workers()) + 1;
   if (threads <= 1 || root_count <= 1) return 1;
   // Adaptive sizing trades pruning context for parallelism: subtrees in
   // one batch cannot prune against each other, and measured pruning loss
   // grows with batch size (see bench/BM_MineParallel root_batch=0 rows).
   // A few batch rounds (~4) keep the loss bounded while oversubscribing
-  // each round (up to 4 roots per thread) so steals can level skew.
+  // each round (up to 4 roots per thread) so threads that finish easy
+  // subtrees early take the remaining ones.
   const std::size_t batch =
       std::min(4 * threads, std::max(threads, root_count / 4));
   return std::max<std::size_t>(batch, 1);
@@ -752,17 +749,17 @@ MineResult Miner::Mine() {
   std::vector<ChildWork> work = BuildChildren(runs);
   ScratchPool<KeyedEmbeds>::Release(std::move(runs));
 
-  // Root subtrees are mined in batches of stealable tasks — one task per
-  // root, so a worker that finishes an easy subtree takes a pending one
-  // instead of the batch joining on its slowest member. Every subtree in a
-  // batch runs against the same read-only committed snapshot (registry,
-  // top-k, visit count) on its own WorkerState, then the workers are
-  // committed in ascending root-bucket order — so the search is a pure
-  // function of (inputs, root_batch), independent of thread count, steal
-  // order, and scheduling, and its ranked result does not depend on
-  // root_batch either. With root_batch == 1 (the default) each snapshot
-  // holds every earlier root and the search is exactly the serial DFS
-  // dispatch.
+  // Root subtrees are mined in batches, one pool index per root: each
+  // thread claims the next unmined root of the batch, so a thread that
+  // finishes an easy subtree takes another instead of the batch joining on
+  // a fixed split. Every subtree in a batch runs against the same
+  // read-only committed snapshot (registry, top-k, visit count) on its own
+  // WorkerState, then the workers are committed in ascending root-bucket
+  // order — so the search is a pure function of (inputs, root_batch),
+  // independent of thread count and of which thread ran which root, and
+  // its ranked result does not depend on root_batch either. With
+  // root_batch == 1 (the default) each snapshot holds every earlier root
+  // and the search is exactly the serial DFS dispatch.
   const std::size_t batch_size = ResolveRootBatch(work.size());
   for (std::size_t begin = 0; begin < work.size(); begin += batch_size) {
     // Budget check between batches (the first batch always runs, as the
@@ -774,10 +771,10 @@ MineResult Miner::Mine() {
     workers.reserve(n);
     for (std::size_t i = 0; i < n; ++i) workers.push_back(MakeWorker(n));
 
-    // One stealable task per root subtree; root 0 runs on this thread and
-    // the join helps-steal pending siblings, so single-subtree batches
-    // (n == 1) run entirely inline. Each task dedupes its own root buckets
-    // (the cap hits land in its stats and commit in root order).
+    // One pool index per root subtree; this thread takes part, and
+    // single-subtree batches (n == 1) run entirely inline. Each root
+    // dedupes its own buckets (the cap hits land in its stats and commit
+    // in root order).
     auto mine_root = [&](std::size_t i) {
       WorkerState& ws = workers[i];
       ChildWork& w = work[begin + i];
@@ -789,22 +786,10 @@ MineResult Miner::Mine() {
       ReleaseTable(w.buckets.pos);
       ReleaseTable(w.buckets.neg);
     };
-    {
-      TaskGroup batch_group(pool_.get());
-      for (std::size_t i = 1; i < n; ++i) {
-        batch_group.Run([&mine_root, i] { mine_root(i); });
-      }
-      mine_root(0);
-      batch_group.Wait();
-    }
-    // The join above quiesces the scheduler, so the batch boundary is
-    // where structural audits are cheap and race-free.
-    TGM_VALIDATE_INVARIANTS(
-        "Miner batch boundary",
-        pool_ != nullptr ? pool_->CheckInvariants() : std::string());
+    pool_.Run(n, mine_root);
 
     // Deterministic merge: ascending root-bucket index, regardless of
-    // which worker (or steal schedule) finished first.
+    // which thread finished first.
     for (WorkerState& ws : workers) CommitWorker(ws);
   }
   // A budget break can leave later roots unmined with populated buckets;

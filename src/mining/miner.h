@@ -6,7 +6,7 @@
 #include <memory>
 #include <vector>
 
-#include "exec/work_stealing.h"
+#include "exec/fork_join.h"
 #include "matching/matcher.h"
 #include "mining/arena.h"
 #include "mining/miner_config.h"
@@ -71,22 +71,22 @@ using EmbeddingTable = std::vector<GraphEmbeddings>;
 ///
 /// Parallelism: root subtrees (`MinerConfig::root_batch != 1` with
 /// `num_threads > 1`). The root buckets are independent subtrees of the
-/// pattern-space tree, mined in batches of stealable tasks — one task per
-/// root, so a worker that finishes an easy subtree steals a pending one
-/// instead of the batch joining on its slowest member. Each task runs the
-/// serial DFS on its own WorkerState — thread-local PatternRegistry, top-k
-/// list, MinerStats, subgraph tester, and scratch — seeded from a
-/// read-only snapshot of the registry and top-k list committed by earlier
-/// batches. When the batch joins, worker results are committed in
-/// ascending root-bucket order: registries are absorbed, top-k insertions
-/// are replayed, and stats are summed. Batch membership and snapshots
-/// depend only on root indices — never on which thread ran a subtree or in
-/// what order tasks were stolen — so ranked output and every counter are
-/// bit-identical for any thread count and any steal schedule.
+/// pattern-space tree, mined in batches on a ForkJoinPool — one index per
+/// root, claimed by whichever thread is free, so a thread that finishes an
+/// easy subtree takes the next one instead of the batch joining on a fixed
+/// split. Each root runs the serial DFS on its own WorkerState —
+/// thread-local PatternRegistry, top-k list, MinerStats, subgraph tester,
+/// and scratch — seeded from a read-only snapshot of the registry and
+/// top-k list committed by earlier batches. When the batch joins, worker
+/// results are committed in ascending root-bucket order: registries are
+/// absorbed, top-k insertions are replayed, and stats are summed. Batch
+/// membership and snapshots depend only on root indices — never on which
+/// thread ran a subtree or when — so ranked output and every counter are
+/// bit-identical for any thread count and any run.
 ///
 /// root_batch == 1 (the default) is the serial search: each root's
 /// snapshot holds every earlier root, which is what the serial DFS
-/// dispatch sees, and no scheduler is created. root_batch == 0 auto-sizes
+/// dispatch sees, and no thread is started. root_batch == 0 auto-sizes
 /// batches from the root count and thread count (see
 /// MinerConfig::root_batch). A completed search ranks the same top-k for
 /// every root_batch; only the counters depend on it. A max_millis
@@ -156,7 +156,7 @@ class Miner {
   /// Per-subtree mining state. The DFS and every helper below it operate
   /// exclusively on one WorkerState, so a root subtree is a pure function
   /// of (its root bucket, the committed snapshot it was seeded from) and
-  /// can run on any scheduler thread without locks. The serial search is the
+  /// can run on any pool thread without locks. The serial search is the
   /// degenerate case of one worker per batch whose snapshot holds all
   /// earlier roots.
   struct WorkerState {
@@ -345,10 +345,6 @@ class Miner {
   std::vector<const TemporalGraph*> neg_graphs_;
 
   DiscriminativeScore score_;
-  /// Steal-capable scheduler for batch subtrees; null unless the resolved
-  /// num_threads is above 1 and root_batch != 1 (the serial path has zero
-  /// scheduler overhead).
-  std::unique_ptr<StealScheduler> pool_;
   /// Tester lent to single-subtree batches so the serial search keeps one
   /// warm memo across roots; multi-subtree batches build per-worker ones.
   std::unique_ptr<TemporalSubgraphTester> tester_;
@@ -372,10 +368,14 @@ class Miner {
   /// needed, and a worker reading a stale false merely visits a few more
   /// patterns before stopping (the cutoff is timing-dependent anyway).
   /// Every result a worker produced before stopping is ordered with the
-  /// main thread by the batch's TaskGroup join (the group's wait mutex),
-  /// not by this flag.
+  /// main thread by the end of the batch's ForkJoinPool::Run (the pool's
+  /// mutex), not by this flag.
   std::atomic<bool> timed_out_{false};
   std::chrono::steady_clock::time_point start_time_;
+  /// Threads for batch subtrees: num_threads - 1 workers when root_batch
+  /// != 1, else none (the serial path starts no thread). Declared last so
+  /// the workers start after, and are joined before, the state they use.
+  ForkJoinPool pool_;
 };
 
 }  // namespace tgm

@@ -67,10 +67,10 @@ struct MinerConfig {
 
   /// Threads for mining root subtrees concurrently. 1 = fully serial; 0 =
   /// all hardware threads. Threads take effect only with root_batch != 1:
-  /// whole root subtrees then run as stealable tasks on a steal-capable
-  /// scheduler (exec/work_stealing.h), and with root_batch == 1 no
-  /// scheduler is created at all. Ranked results and every MinerStats
-  /// counter are bit-identical for every thread count and steal schedule,
+  /// whole root subtrees then run as the indices of one fork-join pool
+  /// call per batch (exec/fork_join.h), and with root_batch == 1 no
+  /// thread is started at all. Ranked results and every MinerStats
+  /// counter are bit-identical for every thread count and every run,
   /// because subtree inputs are fixed at batch start and commits happen in
   /// ascending root-bucket order.
   ///
@@ -83,7 +83,7 @@ struct MinerConfig {
   /// Number of root subtrees mined concurrently per batch. The root-level
   /// ChildWork buckets are independent subtrees of the pattern-space tree
   /// (Theorem 1), so they can be explored in parallel; each subtree in a
-  /// batch runs the serial DFS on a scheduler thread with its own
+  /// batch runs the serial DFS on a pool thread with its own
   /// thread-local registry, top-k list, and stats, all seeded from a
   /// read-only snapshot of the state committed by earlier batches, and the
   /// per-subtree results are committed in ascending root-bucket order once
@@ -100,13 +100,13 @@ struct MinerConfig {
   /// (patterns, scores, order) for every root_batch. Only the MinerStats
   /// counters depend on it. For a fixed root_batch those counters are
   /// deterministic too: batch membership and snapshots depend only on root
-  /// indices, never on timing, thread count, or steal order.
+  /// indices, never on timing, thread count, or which thread ran a root.
   ///
   /// 0 is the adaptive sentinel: batches are auto-sized from the
-  /// root-bucket count and the resolved thread count (a few rounds,
-  /// oversubscribed so steals level skew). Completed adaptive runs rank
-  /// like every other root_batch; their counters are repeatable for a
-  /// fixed (corpus, num_threads) pair. Truncated runs (max_visited or
+  /// root-bucket count and the resolved thread count (a few rounds, each
+  /// with several roots per thread to level skew). Completed adaptive
+  /// runs rank like every other root_batch; their counters are repeatable
+  /// for a fixed (corpus, num_threads) pair. Truncated runs (max_visited or
   /// max_millis) stop at a batch-dependent point, so their ranked output
   /// is comparable only at a fixed root_batch.
   int root_batch = 1;

@@ -3,13 +3,14 @@
 #include <algorithm>
 
 #include "base/invariants.h"
-#include "exec/parallel_for.h"
 
 namespace tgm {
 
-StreamEngine::StreamEngine(const Options& options) : options_(options) {
+StreamEngine::StreamEngine(const Options& options)
+    : options_(options),
+      num_shards_(ResolveNumThreads(options.num_shards)),
+      pool_(num_shards_ - 1) {
   RoleGuard seq(sequencer_role_);
-  num_shards_ = ResolveNumThreads(options_.num_shards);
   TGM_CHECK(num_shards_ >= 1);
   if (options_.batch_size == 0) options_.batch_size = 1;
   limits_.window = options_.window;
@@ -20,7 +21,6 @@ StreamEngine::StreamEngine(const Options& options) : options_(options) {
   shards_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) shards_.emplace_back(limits_);
   shard_alerts_.resize(shards);
-  if (shards > 1) pool_ = std::make_unique<StealScheduler>(num_shards_ - 1);
   batch_.reserve(options_.batch_size);
   active_.reserve(options_.batch_size);
 }
@@ -81,13 +81,12 @@ void StreamEngine::ProcessBatch(const AlertSink& sink) {
   std::swap(batch_, active_);
   batch_.clear();
   const std::span<const StreamEvent> batch{active_.data(), active_.size()};
-  // Broadcast the batch: shard count is below ParallelFor's oversubscribed
-  // chunk cap, so each shard is its own stealable task and a shard that
-  // finishes early picks up a slower sibling's — while the index-to-shard
-  // assignment stays fixed. Shards share nothing but the read-only batch
-  // view.
-  ParallelFor(pool_.get(), shards_.size(), [this, batch](std::size_t s) {
-    // Each chunk owns exactly one shard for the duration of the batch.
+  // Broadcast the batch: one pool index per shard, so a thread that
+  // finishes its shard early takes the next unclaimed one while the
+  // index-to-shard assignment stays fixed. Shards share nothing but the
+  // read-only batch view.
+  pool_.Run(shards_.size(), [this, batch](std::size_t s) {
+    // Each index owns exactly one shard for the duration of the batch.
     RoleGuard owner(shards_[s].role());
     shards_[s].ProcessBatch(batch, &shard_alerts_[s]);
   });

@@ -3,12 +3,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "base/mutex.h"
-#include "exec/work_stealing.h"
+#include "exec/fork_join.h"
 #include "query/stream/shard.h"
 
 namespace tgm {
@@ -55,10 +54,10 @@ struct EngineStats {
 ///   the batch being filled are distinct vectors, swapped per batch — no
 ///   per-shard copy, allocation-free steady state).
 /// - Queries are partitioned round-robin across shards and every shard
-///   sees every event through one deterministic ParallelFor chunk per
-///   shard, so the canonical (event, query index, interval) alert stream,
-///   drop counters, and per-query stats are identical for every shard
-///   count and batch size. One query never spans shards: a single hot
+///   sees every event through one ForkJoinPool index per shard, so the
+///   canonical (event, query index, interval) alert stream, drop
+///   counters, and per-query stats are identical for every shard count
+///   and batch size. One query never spans shards: a single hot
 ///   watch caps at one core; scaling comes from query count.
 /// - Backpressure: per-query partial caps evict closest-to-death-first
 ///   with per-query drop accounting (StreamLimits::max_partials); an
@@ -74,9 +73,9 @@ struct EngineStats {
 /// the caller thread is the *sequencer* — the batching buffers are
 /// TGM_GUARDED_BY(sequencer_role_), claimed by each public entry point for
 /// its duration. Shard-owned state carries each shard's own role
-/// capability: a ParallelFor chunk claims its shard's RoleGuard for the
+/// capability: the pool index running a shard claims its RoleGuard for the
 /// batch, and the sequencer claims shard roles only while no batch is in
-/// flight. A worker chunk reaching into sequencer state (or vice versa)
+/// flight. A shard body reaching into sequencer state (or vice versa)
 /// does not type-check.
 class StreamEngine {
  public:
@@ -188,7 +187,7 @@ class StreamEngine {
 
   /// The sequencer capability: stands for "I am the externally
   /// synchronized caller thread". Every public entry point claims it with
-  /// a RoleGuard for its duration; the ParallelFor chunks never hold it,
+  /// a RoleGuard for its duration; the pool's shard bodies never hold it,
   /// so code running on a worker cannot touch the guarded members below
   /// (it would not compile under Clang's analysis).
   ThreadRole sequencer_role_;
@@ -210,9 +209,11 @@ class StreamEngine {
   // are confined — each StreamShard's state by its own role capability,
   // each shard_alerts_ slot by the convention that only the worker running
   // that shard's batch writes it.
-  std::unique_ptr<StealScheduler> pool_;  // num_shards - 1 workers
   std::vector<StreamShard> shards_;
   std::vector<std::vector<ShardAlert>> shard_alerts_;  // per-shard outbox
+  /// num_shards - 1 workers (none with one shard: batches run inline).
+  /// Declared last so the workers are joined before the shards die.
+  ForkJoinPool pool_;
 };
 
 }  // namespace tgm

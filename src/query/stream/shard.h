@@ -115,10 +115,10 @@ class SeedDispatchIndex {
 /// batch's ProcessBatch call to exactly one worker, and no state is shared
 /// between shards. That confinement is a machine-checked contract: every
 /// piece of shard state is TGM_GUARDED_BY(role()) and every accessor
-/// requires the role, so any caller — the ParallelFor chunk that owns a
-/// batch, or the engine reading stats between batches — must claim
-/// ownership with a visible RoleGuard (base/mutex.h) for the code to
-/// compile under Clang's thread-safety analysis.
+/// requires the role, so any caller — the pool index that owns a batch,
+/// or the engine reading stats between batches — must claim ownership
+/// with a visible RoleGuard (base/mutex.h) for the code to compile under
+/// Clang's thread-safety analysis.
 class StreamShard {
  public:
   explicit StreamShard(const StreamLimits& limits) : limits_(limits) {}

@@ -15,12 +15,10 @@
 ///    exec/ primitives' locking contracts and the stream engine's
 ///    sequencer/shard ownership split are spelled in these macros and
 ///    machine-checked by the static-analysis CI wall.
-///  - execution substrate: exec/work_stealing.h (StealScheduler —
-///    per-worker steal deques plus a shared injector — and TaskGroup,
-///    whose Wait() helps run queued tasks instead of blocking, so
-///    nested fork/join is safe by construction), exec/parallel_for.h
-///    (deterministic index-ordered ParallelFor over a TaskGroup). The
-///    miner and the stream engine both schedule onto these primitives;
+///  - execution substrate: exec/fork_join.h (ForkJoinPool — one flat
+///    index loop at a time, run by the caller and a fixed set of workers
+///    that claim indices from one atomic counter). The miner's root
+///    batches and the stream engine's shard broadcast both run on it;
 ///    nothing above exec/ spawns raw threads.
 ///  - error model: api/status.h (tgm::Status / tgm::StatusOr<T>, used by
 ///    every layer's fallible public entry points)

@@ -4,13 +4,14 @@
 // are bit-identical to serial.
 //
 // Root subtrees are the miner's only parallel unit: with
-// MinerConfig::root_batch != 1 whole root subtrees run as stealable tasks
-// on the scheduler, each running the serial DFS. Determinism comes from
-// fixed batch membership (a function of root indices only), per-subtree
-// WorkerState seeded from the committed snapshot, and commits in
-// ascending root-bucket order — pinned below across 1/2/4/8 threads and
-// across repeated runs (steal schedules vary run to run). With
-// root_batch == 1 num_threads is inert: no scheduler is created. Completed
+// MinerConfig::root_batch != 1 whole root subtrees run as the indices of
+// one fork-join pool call per batch, each running the serial DFS.
+// Determinism comes from fixed batch membership (a function of root
+// indices only), per-subtree WorkerState seeded from the committed
+// snapshot, and commits in ascending root-bucket order — pinned below
+// across 1/2/4/8 threads and across repeated runs (which thread mines
+// which root varies run to run). With root_batch == 1 num_threads is
+// inert: no thread is started. Completed
 // searches also rank identically for every root_batch, because the top-k
 // score cut never drops a pattern the serial search keeps; only the
 // counters depend on root_batch.
@@ -324,11 +325,11 @@ TEST(RootSubtreeParallelTest, ReplicatedFixturesRankIdenticallyAcrossThreads) {
   ExpectThreadCountInvariance(config, pos_syn, neg_syn);
 }
 
-TEST(RootSubtreeParallelTest, RepeatedStealingRunsAreIdentical) {
-  // Steal schedules differ run to run (they depend on timing), so rerunning
-  // the same batched, heavily-threaded configuration is a direct regression
-  // net for schedule-dependent state leaking into results or search-shape
-  // stats.
+TEST(RootSubtreeParallelTest, RepeatedParallelRunsAreIdentical) {
+  // Which thread mines which root differs run to run (it depends on
+  // timing), so rerunning the same batched, heavily-threaded configuration
+  // is a direct regression net for schedule-dependent state leaking into
+  // results or search-shape stats.
   std::mt19937_64 rng(211);
   std::vector<TemporalGraph> pos;
   std::vector<TemporalGraph> neg;
