@@ -4,14 +4,12 @@
 //    (Section 4.3 — the paper reports >70M such tests for sshd-login),
 //  - residual-set equivalence: I-value comparison vs linear scan
 //    (Section 4.4 — >400M such tests for sshd-login),
-//  - sequence encoding, pattern canonical hashing, and data-graph match
-//    enumeration.
+//  - sequence encoding and pattern canonical hashing.
 
 #include <benchmark/benchmark.h>
 
 #include <random>
 
-#include "matching/edge_scan_matcher.h"
 #include "matching/index_matcher.h"
 #include "matching/seq_matcher.h"
 #include "matching/vf2_matcher.h"
@@ -200,30 +198,6 @@ void BM_ResidualEquivLinearScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ResidualEquivLinearScan)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_EdgeScanEnumerate(benchmark::State& state) {
-  std::mt19937_64 rng(10);
-  TemporalGraph g;
-  for (int i = 0; i < 100; ++i) g.AddNode(static_cast<LabelId>(i % 8));
-  Timestamp ts = 1;
-  for (int i = 0; i < 2000; ++i) {
-    NodeId u = static_cast<NodeId>(rng() % 100);
-    NodeId v = static_cast<NodeId>(rng() % 100);
-    if (u == v) continue;
-    g.AddEdge(u, v, ts++);
-  }
-  g.Finalize();
-  Pattern p = RandomPattern(rng, static_cast<int>(state.range(0)), 8);
-  EdgeScanMatcher::Options options;
-  options.max_matches = 10000;
-  EdgeScanMatcher matcher(options);
-  for (auto _ : state) {
-    std::int64_t n = matcher.EnumerateMatches(
-        p, g, [](const DataMatch&) { return true; });
-    benchmark::DoNotOptimize(n);
-  }
-}
-BENCHMARK(BM_EdgeScanEnumerate)->Arg(2)->Arg(3)->Arg(4);
 
 // End-to-end mining throughput, serial and across root subtrees. Args are
 // (num_threads, root_batch): the 1/1 row is the exact serial search;

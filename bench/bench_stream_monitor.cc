@@ -1,29 +1,26 @@
 // Stream-engine throughput: events/sec of the online surveillance engine
-// (src/query/stream/) as a function of registered query count, matching
-// path (entity-keyed partial index vs. the legacy full-scan wildcard
-// path), and shard count (round-robin query partitioning).
+// (src/query/stream/) as a function of registered query count and shard
+// count (round-robin query partitioning). The engine's matches are checked
+// against the brute-force reference in tests/reference_differential_test;
+// this bench measures speed and pins the work counters.
 //
-// Shape to reproduce: the entity index must beat the full scan on the
-// many-queries workload — the scan path touches every live partial of
-// every query per event, the index only the partials the event's entities
-// can extend. Shard rows split the same workload across worker shards
-// (events/sec needs a multicore host to show wall-clock scaling; on a
-// 1-core host the rows pin the broadcast/merge overhead instead). Every
-// row runs at the same batch size, so the 1-shard row is the shard rows'
-// baseline, and every hardware thread spins for ~1.5 s before the first
-// shard row: after an idle spell a shared host can run the first second
-// or so of a thread burst on about one core. The hot-query row replays a
-// hub-skewed stream against a single query — the workload query
-// partitioning cannot spread (one query = one shard).
+// Shard rows split the same workload across worker shards (events/sec
+// needs a multicore host to show wall-clock scaling; on a 1-core host the
+// rows pin the broadcast/merge overhead instead). Every row runs at the
+// same batch size, so the 1-shard row is the shard rows' baseline, and
+// every hardware thread spins for ~1.5 s before the first shard row:
+// after an idle spell a shared host can run the first second or so of a
+// thread burst on about one core. The hot-query row replays a hub-skewed
+// stream against a single query — the workload query partitioning cannot
+// spread (one query = one shard).
 //
 // Flags: --queries=Q (largest query-count step), --events=N, --window=W,
 // --shards=S (extra shard counts, plumbed like --threads), --max_gap=G
-// (adds a constrained comparison: every query's transitions get a max-gap
-// guard of G, run once with guard-driven per-partial expiry and once with
-// window-only expiry — identical alerts required, peak live partials is
-// the measurement), --seed, --json_out=FILE. Alert totals are
-// cross-checked across all configurations of a step: every path and shard
-// count must agree.
+// (adds a constrained row: every query's transitions get a max-gap guard
+// of G, so guard-driven per-partial expiry sets peak live partials),
+// --seed, --json_out=FILE. The shard rows of the largest step are
+// cross-checked against its single-shard row: alerts, drops and seed
+// skips must agree for every shard count.
 
 #include <atomic>
 #include <chrono>
@@ -110,16 +107,13 @@ struct RunStats {
 
 RunStats RunEngine(const std::vector<Pattern>& queries,
                    const std::vector<StreamEvent>& events, Timestamp window,
-                   bool entity_index, int num_shards,
-                   const std::vector<TemporalConstraints>& constraints = {},
-                   bool guard_expiry = true) {
+                   int num_shards,
+                   const std::vector<TemporalConstraints>& constraints = {}) {
   StreamEngine::Options options;
   options.window = window;
-  options.entity_index = entity_index;
   options.num_shards = num_shards;
   options.batch_size = kBatchSize;
   options.max_partials_per_query = 50000;
-  options.guard_expiry = guard_expiry;
   StreamEngine engine(options);
   for (std::size_t q = 0; q < queries.size(); ++q) {
     if (q < constraints.size()) {
@@ -200,14 +194,14 @@ int main(int argc, char** argv) {
   for (int num_queries : steps) {
     std::vector<Pattern> subset(queries.begin(),
                                 queries.begin() + num_queries);
-    auto row = [&](const char* path, bool indexed, int shards) {
-      RunStats stats = RunEngine(subset, events, window, indexed, shards);
+    auto row = [&](int shards) {
+      RunStats stats = RunEngine(subset, events, window, shards);
       std::printf("%8d %8s %8d %14.0f %10lld %12zu %10lld %12lld\n",
-                  num_queries, path, shards, stats.events_per_sec,
+                  num_queries, "index", shards, stats.events_per_sec,
                   static_cast<long long>(stats.alerts), stats.peak_partials,
                   static_cast<long long>(stats.dropped),
                   static_cast<long long>(stats.seed_skips));
-      std::string name = std::string("StreamEngine/") + path + "/queries:" +
+      std::string name = "StreamEngine/index/queries:" +
                          std::to_string(num_queries) + "/shards:" +
                          std::to_string(shards);
       json.Add(name, static_cast<double>(events.size()) /
@@ -215,43 +209,24 @@ int main(int argc, char** argv) {
                {{"events_per_sec", stats.events_per_sec},
                 {"queries", static_cast<double>(num_queries)},
                 {"shards", static_cast<double>(shards)},
-                {"indexed", indexed ? 1.0 : 0.0},
                 {"alerts", static_cast<double>(stats.alerts)},
                 {"dropped", static_cast<double>(stats.dropped)},
                 {"seed_skips", static_cast<double>(stats.seed_skips)}});
       return stats;
     };
-    RunStats scan = row("scan", false, 1);
-    RunStats index = row("index", true, 1);
-    // Shard rows must always agree with the single-shard index row (the
-    // engine's shard-determinism guarantee, drops or not). Scan vs index
-    // agreement is only guaranteed drop-free: under backpressure the
-    // eviction tie-break follows insertion order, which differs between
-    // the two matching paths.
-    if (scan.dropped == 0 && index.dropped == 0 &&
-        scan.alerts != index.alerts) {
-      std::fprintf(stderr,
-                   "error: drop-free alert mismatch at queries=%d: scan "
-                   "%lld vs index %lld\n",
-                   num_queries, static_cast<long long>(scan.alerts),
-                   static_cast<long long>(index.alerts));
-      ok = false;
-    } else if (scan.dropped != 0 || index.dropped != 0) {
-      std::printf("  (cap hit at queries=%d: scan/index alert parity not "
-                  "checked under backpressure)\n",
-                  num_queries);
-    }
+    RunStats index = row(1);
+    // Shard rows must always agree with the single-shard row (the
+    // engine's shard-determinism guarantee, drops or not).
     if (num_queries == max_queries) {
-      auto check_mode = [&](const char* path, int shards,
-                            const RunStats& sharded) {
+      auto check_shards = [&](int shards, const RunStats& sharded) {
         if (sharded.alerts != index.alerts ||
             sharded.dropped != index.dropped ||
             sharded.seed_skips != index.seed_skips) {
           std::fprintf(stderr,
                        "error: shard determinism violated at queries=%d "
-                       "%s shards=%d: alerts %lld vs %lld, dropped %lld vs "
+                       "shards=%d: alerts %lld vs %lld, dropped %lld vs "
                        "%lld, seed_skips %lld vs %lld\n",
-                       num_queries, path, shards,
+                       num_queries, shards,
                        static_cast<long long>(sharded.alerts),
                        static_cast<long long>(index.alerts),
                        static_cast<long long>(sharded.dropped),
@@ -266,9 +241,7 @@ int main(int argc, char** argv) {
         shard_steps.push_back(extra_shards);
       }
       WarmAllThreads(1.5);
-      for (int shards : shard_steps) {
-        check_mode("index", shards, row("index", true, shards));
-      }
+      for (int shards : shard_steps) check_shards(shards, row(shards));
     }
   }
 
@@ -295,7 +268,7 @@ int main(int argc, char** argv) {
                                        kNoEdgeLabel, i});
     }
     const std::vector<Pattern> hot_queries = {hot_query};
-    RunStats hot = RunEngine(hot_queries, hot_events, window, true, 1);
+    RunStats hot = RunEngine(hot_queries, hot_events, window, 1);
     std::printf("%8s %8s %8d %14.0f %10lld %12zu %10lld %12lld\n", "hot",
                 "index", 1, hot.events_per_sec,
                 static_cast<long long>(hot.alerts), hot.peak_partials,
@@ -306,12 +279,10 @@ int main(int argc, char** argv) {
              {{"events_per_sec", hot.events_per_sec},
               {"alerts", static_cast<double>(hot.alerts)}});
   }
-  // Constrained comparison: the same event stream under queries whose
-  // every transition carries a max-gap guard, executed with guard-driven
-  // per-partial expiry (the PartialTable deadline heap) vs window-only
-  // expiry. Guards are enforced on extension either way, so the alert
-  // streams must be identical; only peak live partials may differ — the
-  // number this row exists to measure.
+  // Constrained row: the same event stream under queries whose every
+  // transition carries a max-gap guard. Each partial expires at its guard
+  // deadline (the PartialTable deadline heap), so peak live partials is
+  // the number this row exists to measure.
   if (max_gap > 0) {
     std::vector<TemporalConstraints> constraints;
     constraints.reserve(queries.size());
@@ -322,54 +293,21 @@ int main(int argc, char** argv) {
       }
       constraints.push_back(std::move(c));
     }
-    auto constrained_row = [&](const char* path, bool guard_expiry) {
-      RunStats stats = RunEngine(queries, events, window, true, 1,
-                                 constraints, guard_expiry);
-      std::printf("%8d %8s %8d %14.0f %10lld %12zu %10lld %12lld\n",
-                  max_queries, path, 1, stats.events_per_sec,
-                  static_cast<long long>(stats.alerts), stats.peak_partials,
-                  static_cast<long long>(stats.dropped),
-                  static_cast<long long>(stats.seed_skips));
-      json.Add(std::string("StreamEngine/") + path + "/queries:" +
-                   std::to_string(max_queries) + "/max_gap:" +
-                   std::to_string(max_gap),
-               static_cast<double>(events.size()) / stats.events_per_sec,
-               {{"events_per_sec", stats.events_per_sec},
-                {"queries", static_cast<double>(max_queries)},
-                {"max_gap", static_cast<double>(max_gap)},
-                {"guard_expiry", guard_expiry ? 1.0 : 0.0},
-                {"peak_partials", static_cast<double>(stats.peak_partials)},
-                {"alerts", static_cast<double>(stats.alerts)},
-                {"dropped", static_cast<double>(stats.dropped)}});
-      return stats;
-    };
-    RunStats window_only = constrained_row("cons-win", false);
-    RunStats guard_driven = constrained_row("cons-gex", true);
-    if (window_only.dropped == 0 && guard_driven.dropped == 0 &&
-        guard_driven.alerts != window_only.alerts) {
-      std::fprintf(stderr,
-                   "error: constrained alert mismatch at max_gap=%lld: "
-                   "guard-expiry %lld vs window-only %lld\n",
-                   static_cast<long long>(max_gap),
-                   static_cast<long long>(guard_driven.alerts),
-                   static_cast<long long>(window_only.alerts));
-      ok = false;
-    }
-    if (guard_driven.peak_partials > window_only.peak_partials) {
-      std::fprintf(stderr,
-                   "error: guard expiry raised peak partials (%zu vs %zu)\n",
-                   guard_driven.peak_partials, window_only.peak_partials);
-      ok = false;
-    }
-    std::printf("  (max_gap=%lld guard expiry holds peak live partials at "
-                "%zu vs %zu window-only, %.1fx reduction, identical "
-                "alerts)\n",
-                static_cast<long long>(max_gap),
-                guard_driven.peak_partials, window_only.peak_partials,
-                guard_driven.peak_partials > 0
-                    ? static_cast<double>(window_only.peak_partials) /
-                          static_cast<double>(guard_driven.peak_partials)
-                    : 0.0);
+    RunStats stats = RunEngine(queries, events, window, 1, constraints);
+    std::printf("%8d %8s %8d %14.0f %10lld %12zu %10lld %12lld\n",
+                max_queries, "cons-gex", 1, stats.events_per_sec,
+                static_cast<long long>(stats.alerts), stats.peak_partials,
+                static_cast<long long>(stats.dropped),
+                static_cast<long long>(stats.seed_skips));
+    json.Add("StreamEngine/cons-gex/queries:" + std::to_string(max_queries) +
+                 "/max_gap:" + std::to_string(max_gap),
+             static_cast<double>(events.size()) / stats.events_per_sec,
+             {{"events_per_sec", stats.events_per_sec},
+              {"queries", static_cast<double>(max_queries)},
+              {"max_gap", static_cast<double>(max_gap)},
+              {"peak_partials", static_cast<double>(stats.peak_partials)},
+              {"alerts", static_cast<double>(stats.alerts)},
+              {"dropped", static_cast<double>(stats.dropped)}});
   }
 
   // Steady-state dispatch allocations: with the double-buffered span
@@ -417,9 +355,9 @@ int main(int argc, char** argv) {
              0.0, {{"allocs", static_cast<double>(allocs)}});
   }
 
-  std::printf("(events=%lld window=%lld entities=%lld; scan = wildcard "
-              "full-scan path, index = entity-keyed partial index; shard "
-              "rows need a multicore host for wall-clock scaling)\n",
+  std::printf("(events=%lld window=%lld entities=%lld; index = "
+              "entity-keyed partial index; shard rows need a multicore host "
+              "for wall-clock scaling)\n",
               static_cast<long long>(num_events),
               static_cast<long long>(window),
               static_cast<long long>(num_entities));

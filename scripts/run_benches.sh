@@ -13,11 +13,11 @@
 #                just the built-in 1/2/4 sweep of `index` rows, each
 #                cross-checked against the serial oracle); recorded per row
 #                in the BENCH_stream_monitor JSON payload.
-#   --max_gap=N  max-gap guard for the constrained stream-engine rows
+#   --max_gap=N  max-gap guard for the constrained stream-engine row
 #                (default 40): every query gets a per-transition max_gap=N
-#                guard and runs once with guard-driven per-partial expiry
-#                and once window-only; the peak-live-partials pair lands in
-#                BENCH_stream_monitor.json. 0 skips the constrained rows.
+#                guard, and the row's peak live partials under guard-driven
+#                per-partial expiry lands in BENCH_stream_monitor.json. 0
+#                skips the constrained row.
 #   BUILD_DIR    CMake build directory with the bench binaries (default: build)
 #   OUT_DIR      where the BENCH_*.json files land (default: bench-results)
 #
@@ -90,7 +90,7 @@ mkdir -p "$OUT_DIR"
 MICRO_ARGS=(--benchmark_out="$OUT_DIR/BENCH_micro_operations.json"
             --benchmark_out_format=json)
 if [[ "$SMOKE" == 1 ]]; then
-  MICRO_ARGS+=(--benchmark_filter='BM_MineParallel/1/1|BM_MineParallel/2/16|BM_EdgeScanEnumerate|BM_SubgraphTest<SeqMatcher>'
+  MICRO_ARGS+=(--benchmark_filter='BM_MineParallel/1/1|BM_MineParallel/2/16|BM_SubgraphTest<SeqMatcher>'
                --benchmark_min_time=0.05)
 fi
 "$BUILD_DIR/bench/bench_micro_operations" "${MICRO_ARGS[@]}"
@@ -107,9 +107,9 @@ if [[ "$SMOKE" == 1 ]]; then
 fi
 "$BUILD_DIR/bench/bench_fig13_miner_comparison" "${FIG13_ARGS[@]}"
 
-# The stream-engine throughput sweep (events/sec vs query count, matching
-# path, and shard count) writes the same JSON shape via --json_out; every
-# row carries queries/shards/indexed counters.
+# The stream-engine throughput sweep (events/sec vs query count and shard
+# count) writes the same JSON shape via --json_out; every sweep row carries
+# queries/shards counters.
 STREAM_ARGS=(--json_out="$OUT_DIR/BENCH_stream_monitor.json"
              --shards="$SHARDS"
              --max_gap="$MAX_GAP")

@@ -121,24 +121,6 @@ std::vector<Interval> Pipeline::SearchTemporal(
                      "Pipeline::SearchTemporal");
 }
 
-std::vector<Interval> Pipeline::MonitorTemporal(
-    int behavior_idx, const std::vector<MinedPattern>& queries,
-    int num_shards) const {
-  TGM_CHECK(prepared_);
-  if (queries.empty()) return {};
-  api::BehaviorQuery query(queries, WindowFor(behavior_idx));
-  api::WatchOptions options;
-  // WatchOptions' 0 means "session default"; this stage's 0 historically
-  // meant "all hardware threads", which the engine spells negative.
-  options.shards = num_shards == 0 ? -1 : num_shards;
-  options.batch_size = 64;
-  // Offline replay must match SearchTemporal exactly: no backpressure —
-  // the offline searcher never drops work, so this stage must not either.
-  options.max_partials = std::numeric_limits<std::size_t>::max();
-  return UnwrapOrDie(session_.Watch(query, kTestLogCorpus, options),
-                     "Pipeline::MonitorTemporal");
-}
-
 const std::vector<StaticGraph>& Pipeline::StaticPositives(int behavior_idx) {
   auto& cache = static_pos_cache_[static_cast<std::size_t>(behavior_idx)];
   if (cache.empty()) {

@@ -57,11 +57,11 @@ struct PipelineConfig {
 /// three approaches of Table 2 (TGMiner, Ntemp, NodeSet) end to end.
 ///
 /// Back-compat facade: since the api/ front door landed, the temporal
-/// stages (MineTemporal, SearchTemporal, MonitorTemporal) are thin
-/// wrappers over an embedded `api::Session` — the syslog simulator is
-/// just one Session data source, its training corpora and test log
-/// attached under the names below. New code should use `session()` (or a
-/// standalone Session) directly; this class keeps the original
+/// stages (MineTemporal, SearchTemporal) are thin wrappers over an
+/// embedded `api::Session` — the syslog simulator is just one Session
+/// data source, its training corpora and test log attached under the
+/// names below. New code should use `session()` (or a standalone
+/// Session) directly; this class keeps the original
 /// constructor-and-stages API for the paper-replication benches and
 /// tests, plus the non-temporal baselines (Ntemp, NodeSet) that exist
 /// only for Table 2.
@@ -122,14 +122,6 @@ class Pipeline {
   std::vector<MinedPattern> TemporalQueries(const MineResult& result) const;
   std::vector<Interval> SearchTemporal(
       int behavior_idx, const std::vector<MinedPattern>& queries) const;
-  /// Online analogue of SearchTemporal: registers the formulated behaviour
-  /// queries with the stream engine (src/query/stream/) and replays the
-  /// test log as a live event stream. Returns the distinct alert
-  /// intervals, sorted ascending — identical for every `num_shards`
-  /// (<= 0 means all hardware threads).
-  std::vector<Interval> MonitorTemporal(
-      int behavior_idx, const std::vector<MinedPattern>& queries,
-      int num_shards = 1) const;
 
   GspanResult MineStatic(int behavior_idx, double fraction = 1.0);
   std::vector<Interval> SearchStatic(

@@ -15,8 +15,6 @@ StreamEngine::StreamEngine(const Options& options)
   if (options_.batch_size == 0) options_.batch_size = 1;
   limits_.window = options_.window;
   limits_.max_partials = options_.max_partials_per_query;
-  limits_.entity_index = options_.entity_index;
-  limits_.guard_expiry = options_.guard_expiry;
   const auto shards = static_cast<std::size_t>(num_shards_);
   shards_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) shards_.emplace_back(limits_);
@@ -147,7 +145,6 @@ EngineStats StreamEngine::Stats() const {
       row.live_partials = query.table().live();
       row.peak_partials = query.table().peak();
       row.index_buckets = query.table().bucket_count();
-      row.wildcard_partials = query.table().wildcard_size();
       row.dropped_partials = query.dropped_partials();
       row.alerts = query.alerts();
       row.seed_skips = query.seed_skips();

@@ -20,7 +20,6 @@ struct EngineQueryStats {
   std::size_t live_partials = 0;
   std::size_t peak_partials = 0;  ///< high-water mark of live partials
   std::size_t index_buckets = 0;  ///< occupied entity buckets
-  std::size_t wildcard_partials = 0;
   std::int64_t dropped_partials = 0;  ///< backpressure evictions/drops
   std::int64_t alerts = 0;
   /// Events this query never probed: it had no live partials and the
@@ -90,21 +89,6 @@ class StreamEngine {
     /// Events per fan-out batch (>= 1). Larger batches amortize the
     /// per-batch dispatch at the cost of alert latency.
     std::size_t batch_size = 1;
-    /// Disable to run the legacy full-scan matching path (bench baseline).
-    /// Both paths accept exactly the same matches; while no partials are
-    /// dropped their alert streams are identical. Under backpressure the
-    /// eviction tie-break among equal-first_ts partials follows insertion
-    /// order, which differs between the paths (candidate probe order vs.
-    /// wildcard scan order), so capped runs may evict different victims.
-    /// The bit-identical guarantee across shard counts and batch sizes is
-    /// per-path and holds with or without drops.
-    bool entity_index = true;
-    /// Disable to expire constrained queries' partials by the window alone
-    /// instead of the tighter per-partial guard deadlines; alerts are
-    /// identical either way (guards are still enforced on extension), only
-    /// peak live partials differ. Bench comparison knob; no effect on
-    /// unconstrained queries. See StreamLimits::guard_expiry.
-    bool guard_expiry = true;
   };
 
   using AlertSink = std::function<void(const StreamAlert&)>;

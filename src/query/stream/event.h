@@ -21,7 +21,7 @@ struct StreamEvent {
   Timestamp ts = 0;
 
   /// The stream view of one finalized-log edge (replaying a log as a live
-  /// stream, as the tests, examples, and Pipeline::MonitorTemporal do).
+  /// stream, as Session::Watch, the tests and the examples do).
   static StreamEvent FromEdge(const TemporalGraph& log,
                               const TemporalEdge& e) {
     return StreamEvent{e.src,           e.dst,    log.label(e.src),

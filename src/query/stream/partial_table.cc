@@ -27,19 +27,11 @@ std::string SlotStr(std::uint32_t slot) {
 
 }  // namespace
 
-std::vector<std::uint32_t>& PartialTable::BucketFor(Role role,
-                                                    std::int64_t key) {
-  if (role == Role::kEntity) return by_entity_[key];
-  return wildcard_;
-}
-
 std::uint32_t PartialTable::Insert(std::span<const std::int64_t> binding,
                                    std::uint32_t next_edge,
                                    Timestamp first_ts, Timestamp last_ts,
-                                   Timestamp expiry, Role role,
-                                   std::int64_t key) {
+                                   Timestamp expiry, std::int64_t key) {
   TGM_DCHECK(binding.size() == node_count_);
-  if (!entity_index_) role = Role::kWildcard;
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -55,10 +47,9 @@ std::uint32_t PartialTable::Insert(std::span<const std::int64_t> binding,
   m.next_edge = next_edge;
   m.first_ts = first_ts;
   m.last_ts = last_ts;
-  m.role = role;
   m.key = key;
   m.seq = next_seq_++;
-  std::vector<std::uint32_t>& bucket = BucketFor(role, key);
+  std::vector<std::uint32_t>& bucket = by_entity_[key];
   m.bucket_pos = static_cast<std::uint32_t>(bucket.size());
   bucket.push_back(slot);
   by_age_.push(AgeKey{expiry, first_ts, m.seq, slot});
@@ -69,15 +60,15 @@ std::uint32_t PartialTable::Insert(std::span<const std::int64_t> binding,
 
 void PartialTable::Remove(std::uint32_t slot) {
   Meta& m = meta_[slot];
-  std::vector<std::uint32_t>& bucket = BucketFor(m.role, m.key);
+  auto it = by_entity_.find(m.key);
+  TGM_DCHECK(it != by_entity_.end());
+  std::vector<std::uint32_t>& bucket = it->second;
   TGM_DCHECK(m.bucket_pos < bucket.size() && bucket[m.bucket_pos] == slot);
   std::uint32_t moved = bucket.back();
   bucket[m.bucket_pos] = moved;
   meta_[moved].bucket_pos = m.bucket_pos;
   bucket.pop_back();
-  if (bucket.empty() && m.role != Role::kWildcard) {
-    by_entity_.erase(m.key);
-  }
+  if (bucket.empty()) by_entity_.erase(it);
   free_slots_.push_back(slot);
   --live_;
 }
@@ -129,12 +120,9 @@ std::string PartialTable::CheckInvariants() const {
   }
   // Bucket membership: every live slot filed exactly once, under the
   // bucket its meta names, at the position its meta records.
-  if (!entity_index_ && !by_entity_.empty()) {
-    return "entity buckets populated with the entity index disabled";
-  }
   std::size_t filed = 0;
   std::vector<char> in_bucket(slots, 0);
-  auto check_bucket = [&](const std::vector<std::uint32_t>& bucket, Role role,
+  auto check_bucket = [&](const std::vector<std::uint32_t>& bucket,
                           std::int64_t key) -> std::string {
     for (std::size_t pos = 0; pos < bucket.size(); ++pos) {
       const std::uint32_t slot = bucket[pos];
@@ -150,8 +138,8 @@ std::string PartialTable::CheckInvariants() const {
       in_bucket[slot] = 1;
       ++filed;
       const Meta& m = meta_[slot];
-      if (m.role != role || (role == Role::kEntity && m.key != key)) {
-        return SlotStr(slot) + " meta role/key disagrees with its bucket";
+      if (m.key != key) {
+        return SlotStr(slot) + " meta key disagrees with its bucket";
       }
       if (m.bucket_pos != pos) {
         return SlotStr(slot) + " bucket_pos " + std::to_string(m.bucket_pos) +
@@ -166,14 +154,9 @@ std::string PartialTable::CheckInvariants() const {
       return "empty entity bucket for key " + std::to_string(key) +
              " not erased";
     }
-    if (std::string err = check_bucket(bucket, Role::kEntity, key);
-        !err.empty()) {
+    if (std::string err = check_bucket(bucket, key); !err.empty()) {
       return err;
     }
-  }
-  if (std::string err = check_bucket(wildcard_, Role::kWildcard, 0);
-      !err.empty()) {
-    return err;
   }
   if (filed != live_) {
     return "buckets file " + std::to_string(filed) + " partials, live count " +

@@ -27,18 +27,15 @@ struct PartialTableTestPeer;
 /// - **Entity-keyed index.** Each partial is filed under the concrete
 ///   entity its next unmatched edge requires: the bound source entity if
 ///   the transition's source slot is bound, else the bound destination
-///   entity, else a wildcard bucket (canonical consecutive growth makes
-///   the wildcard reachable only by edge 0, but the bucket keeps the
-///   structure total). The index is one role-agnostic entity -> bucket
-///   map, so an event probes exactly `by_entity[event.src] ∪
-///   by_entity[event.dst] ∪ wildcard`: the only partials that can possibly
-///   extend, instead of a scan of all of them. When the event is a self-loop
-///   (src == dst) the two probes name the *same* bucket; ForEachExtendable
-///   dedups at the bucket level so no partial is ever probed twice (a
-///   naive two-sided probe would double-extend every partial in that
-///   bucket). With `entity_index = false` everything is filed under the
-///   wildcard bucket, which *is* the legacy full-scan path (used as the
-///   bench baseline).
+///   entity. Patterns are T-connected and a stored partial always waits on
+///   edge >= 1, so one of the two is always bound. The index is one
+///   role-agnostic entity -> bucket map, so an event probes exactly
+///   `by_entity[event.src] ∪ by_entity[event.dst]`: the only partials that
+///   can possibly extend, instead of a scan of all of them. When the event
+///   is a self-loop (src == dst) the two probes name the *same* bucket;
+///   ForEachExtendable dedups at the bucket level so no partial is ever
+///   probed twice (a naive two-sided probe would double-extend every
+///   partial in that bucket).
 /// - **Expiry order.** A min-heap keyed by (expiry, first_ts, insertion
 ///   seq) drives both expiry (pop while `expiry < now`) and backpressure
 ///   eviction (pop the top), replacing the full compaction scan the old
@@ -58,24 +55,17 @@ struct PartialTableTestPeer;
 /// history — the basis of the engine's cross-shard determinism.
 class PartialTable {
  public:
-  /// Where a partial is filed: under the concrete entity its next
-  /// transition requires, or in the wildcard bucket (no bound endpoint —
-  /// or the index is disabled).
-  enum class Role : std::uint8_t { kEntity, kWildcard };
-
   /// Expiry value of a partial nothing can ever expire.
   static constexpr Timestamp kNeverExpires =
       std::numeric_limits<Timestamp>::max();
 
-  PartialTable(std::size_t node_count, bool entity_index)
-      : node_count_(node_count), entity_index_(entity_index) {}
+  explicit PartialTable(std::size_t node_count) : node_count_(node_count) {}
 
   std::size_t live() const { return live_; }
   /// High-water mark of live partials.
   std::size_t peak() const { return peak_; }
-  /// Occupied entity buckets (excluding the wildcard bucket).
+  /// Occupied entity buckets.
   std::size_t bucket_count() const { return by_entity_.size(); }
-  std::size_t wildcard_size() const { return wildcard_.size(); }
 
   std::span<const std::int64_t> binding(std::uint32_t slot) const {
     return {bindings_.data() + slot * node_count_, node_count_};
@@ -90,7 +80,7 @@ class PartialTable {
 
   /// Invokes `fn(slot)` for every partial an event (src_entity,
   /// dst_entity) can possibly extend, in the deterministic probe order
-  /// (src-entity bucket, dst-entity bucket, wildcard). The dst probe is
+  /// (src-entity bucket, then dst-entity bucket). The dst probe is
   /// skipped when both entities name the same bucket (self-loop events) —
   /// the probe-dedup that keeps a partial from being extended twice by
   /// one event. `fn` must not mutate the table (extensions are deferred
@@ -98,30 +88,25 @@ class PartialTable {
   template <typename Fn>
   void ForEachExtendable(std::int64_t src_entity, std::int64_t dst_entity,
                          Fn&& fn) const {
-    if (entity_index_) {
-      auto src_it = by_entity_.find(src_entity);
-      if (src_it != by_entity_.end()) {
-        for (std::uint32_t slot : src_it->second) fn(slot);
-      }
-      if (dst_entity != src_entity) {
-        auto dst_it = by_entity_.find(dst_entity);
-        if (dst_it != by_entity_.end()) {
-          for (std::uint32_t slot : dst_it->second) fn(slot);
-        }
+    auto src_it = by_entity_.find(src_entity);
+    if (src_it != by_entity_.end()) {
+      for (std::uint32_t slot : src_it->second) fn(slot);
+    }
+    if (dst_entity != src_entity) {
+      auto dst_it = by_entity_.find(dst_entity);
+      if (dst_it != by_entity_.end()) {
+        for (std::uint32_t slot : dst_it->second) fn(slot);
       }
     }
-    for (std::uint32_t slot : wildcard_) fn(slot);
   }
 
-  /// Files a new partial; `binding` must have node_count entries. `role`
-  /// and `key` describe where the *next* transition requires it (with the
-  /// index disabled the role is forced to wildcard). `expiry` is the
-  /// stream time at which the partial becomes dead (kNeverExpires = only
-  /// eviction can remove it).
+  /// Files a new partial; `binding` must have node_count entries. `key` is
+  /// the entity the *next* transition requires (see RouteForNextEdge).
+  /// `expiry` is the stream time at which the partial becomes dead
+  /// (kNeverExpires = only eviction can remove it).
   std::uint32_t Insert(std::span<const std::int64_t> binding,
                        std::uint32_t next_edge, Timestamp first_ts,
-                       Timestamp last_ts, Timestamp expiry, Role role,
-                       std::int64_t key);
+                       Timestamp last_ts, Timestamp expiry, std::int64_t key);
 
   /// Removes every partial whose expiry precedes `now` (window expiry and
   /// guard-deadline expiry in one pass; a partial with expiry == now can
@@ -137,7 +122,7 @@ class PartialTable {
   /// representation is consistent, else a description of the first
   /// violated invariant. Checked relations: binding-arena and free-list
   /// bounds; live count == allocated − free == Σ bucket sizes; every
-  /// bucket entry's meta (role, key, bucket_pos) points back at its
+  /// bucket entry's meta (key, bucket_pos) points back at its
   /// bucket; no empty entity buckets; the age heap covers exactly the live
   /// slots.
   std::string CheckInvariants() const;
@@ -148,7 +133,6 @@ class PartialTable {
     std::uint32_t next_edge = 0;
     Timestamp first_ts = 0;
     Timestamp last_ts = 0;
-    Role role = Role::kWildcard;
     std::int64_t key = 0;
     std::uint32_t bucket_pos = 0;
     std::uint64_t seq = 0;
@@ -160,17 +144,14 @@ class PartialTable {
   using AgeKey =
       std::tuple<Timestamp, Timestamp, std::uint64_t, std::uint32_t>;
 
-  std::vector<std::uint32_t>& BucketFor(Role role, std::int64_t key);
   void Remove(std::uint32_t slot);
 
   std::size_t node_count_;
-  bool entity_index_;
   std::vector<Meta> meta_;
   std::vector<std::int64_t> bindings_;  // slots x node_count_
   std::vector<std::uint32_t> free_slots_;
   /// Role-agnostic entity -> bucket index.
   std::unordered_map<std::int64_t, std::vector<std::uint32_t>> by_entity_;
-  std::vector<std::uint32_t> wildcard_;
   std::priority_queue<AgeKey, std::vector<AgeKey>, std::greater<AgeKey>>
       by_age_;
   std::size_t live_ = 0;

@@ -94,28 +94,23 @@ void FillExtendedBinding(const CompiledQueryPlan& plan,
   out[static_cast<std::size_t>(t.dst)] = event.dst_entity;
 }
 
-PartialRoute RouteForNextEdge(const CompiledQueryPlan& plan,
+std::int64_t RouteForNextEdge(const CompiledQueryPlan& plan,
                               std::uint32_t next_edge,
                               std::span<const std::int64_t> binding) {
   const PlanTransition& t = plan.transition(next_edge);
-  PartialRoute route;
-  if (binding[static_cast<std::size_t>(t.src)] != kUnboundEntity) {
-    route.role = PartialTable::Role::kEntity;
-    route.key = binding[static_cast<std::size_t>(t.src)];
-  } else if (binding[static_cast<std::size_t>(t.dst)] != kUnboundEntity) {
-    route.role = PartialTable::Role::kEntity;
-    route.key = binding[static_cast<std::size_t>(t.dst)];
-  }
-  return route;
+  const std::int64_t src = binding[static_cast<std::size_t>(t.src)];
+  if (src != kUnboundEntity) return src;
+  const std::int64_t dst = binding[static_cast<std::size_t>(t.dst)];
+  TGM_DCHECK(dst != kUnboundEntity);
+  return dst;
 }
 
 Timestamp ComputePartialExpiry(const CompiledQueryPlan& plan,
-                               Timestamp window, bool guard_expiry,
-                               std::uint32_t next_edge, Timestamp first_ts,
-                               Timestamp last_ts) {
+                               Timestamp window, std::uint32_t next_edge,
+                               Timestamp first_ts, Timestamp last_ts) {
   Timestamp expiry = window > 0 ? SaturatingExpiry(first_ts, window)
                                 : PartialTable::kNeverExpires;
-  if (guard_expiry && plan.constrained()) {
+  if (plan.constrained()) {
     const PlanTransition& t = plan.transition(next_edge);
     // The very next edge must land within max_gap of the last matched one
     // and within seed_horizon (the suffix-min of every remaining
@@ -222,15 +217,12 @@ void QueryRuntime::InsertPending() {
       if (limits_.max_partials == 0) continue;
       table_.EvictOldest();
     }
-    const PartialRoute route =
-        RouteForNextEdge(plan_, pending_[i].next_edge, binding);
     table_.Insert(binding, pending_[i].next_edge, pending_[i].first_ts,
                   pending_[i].last_ts,
-                  ComputePartialExpiry(plan_, window_, limits_.guard_expiry,
-                                       pending_[i].next_edge,
+                  ComputePartialExpiry(plan_, window_, pending_[i].next_edge,
                                        pending_[i].first_ts,
                                        pending_[i].last_ts),
-                  route.role, route.key);
+                  RouteForNextEdge(plan_, pending_[i].next_edge, binding));
   }
   pending_.clear();
   pending_bindings_.clear();

@@ -28,16 +28,6 @@ struct StreamLimits {
   /// for an unconstrained query) is evicted to make room, and the query's
   /// drop counter increments.
   std::size_t max_partials = 100000;
-  /// Disable to file every partial under the wildcard bucket — the legacy
-  /// full-scan path, kept as the bench baseline.
-  bool entity_index = true;
-  /// When set (default), a constrained query's max-gap / since-seed guards
-  /// tighten each partial's expiry below the window horizon, so provably
-  /// dead partials leave the table early. Disabling falls back to
-  /// window-only expiry — guards are still *checked* on extension, so the
-  /// alert stream is identical either way; only peak live partials differ
-  /// (the bench's comparison knob). No effect on unconstrained queries.
-  bool guard_expiry = true;
 };
 
 /// --- Transition semantics ---------------------------------------------
@@ -76,25 +66,21 @@ void FillExtendedBinding(const CompiledQueryPlan& plan,
                          const StreamEvent& event,
                          std::span<std::int64_t> out);
 
-/// Where a partial waiting on `next_edge` files in a PartialTable: under
-/// the concrete entity its next transition requires, or the wildcard
-/// bucket when neither endpoint is bound.
-struct PartialRoute {
-  PartialTable::Role role = PartialTable::Role::kWildcard;
-  std::int64_t key = 0;
-};
-PartialRoute RouteForNextEdge(const CompiledQueryPlan& plan,
+/// The entity a partial waiting on `next_edge` files under in a
+/// PartialTable: the bound source entity of that transition, else its
+/// bound destination entity. Patterns are T-connected and next_edge >= 1,
+/// so at least one endpoint is bound.
+std::int64_t RouteForNextEdge(const CompiledQueryPlan& plan,
                               std::uint32_t next_edge,
                               std::span<const std::int64_t> binding);
 
 /// The stream time at which a partial waiting on `next_edge` with the
 /// given timestamps becomes provably dead: the window horizon, tightened
-/// (under `guard_expiry`, for constrained plans) by the next transition's
-/// max_gap and the suffix-min seed horizon of the remaining transitions.
+/// (for constrained plans) by the next transition's max_gap and the
+/// suffix-min seed horizon of the remaining transitions.
 Timestamp ComputePartialExpiry(const CompiledQueryPlan& plan,
-                               Timestamp window, bool guard_expiry,
-                               std::uint32_t next_edge, Timestamp first_ts,
-                               Timestamp last_ts);
+                               Timestamp window, std::uint32_t next_edge,
+                               Timestamp first_ts, Timestamp last_ts);
 
 /// One registered behaviour query's live state: compiled plan (with any
 /// timed-automata guards baked in), the entity-indexed partial table, and
@@ -123,7 +109,7 @@ class QueryRuntime {
         plan_(query, constraints),
         limits_(limits),
         window_(plan_.EffectiveWindow(limits.window)),
-        table_(plan_.node_count(), limits.entity_index) {}
+        table_(plan_.node_count()) {}
 
   std::size_t global_index() const { return global_index_; }
   const CompiledQueryPlan& plan() const { return plan_; }

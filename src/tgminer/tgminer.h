@@ -28,8 +28,8 @@
 ///    query-time annotation on a Pattern, enforced identically by the
 ///    offline searcher and the stream runtime, persisted with the
 ///    BehaviorQuery artifact)
-///  - temporal subgraph testers and match enumeration: matcher.h,
-///    seq_matcher.h, vf2_matcher.h, index_matcher.h, edge_scan_matcher.h
+///  - temporal subgraph testers: matcher.h, seq_matcher.h,
+///    vf2_matcher.h, index_matcher.h
 ///  - the discriminative miner and its ablations: miner.h, miner_config.h,
 ///    score.h, result.h
 ///  - the non-temporal baseline: static_graph.h, dfs_code.h, gspan.h
@@ -69,7 +69,6 @@
 #include "api/event_record.h"
 #include "api/session.h"
 #include "api/status.h"
-#include "matching/edge_scan_matcher.h"
 #include "matching/index_matcher.h"
 #include "matching/matcher.h"
 #include "matching/seq_matcher.h"

@@ -45,15 +45,15 @@ constexpr std::int64_t kBinding[] = {7, 8};
 // --- PartialTable ------------------------------------------------------
 
 PartialTable MakeTable() {
-  PartialTable t(/*node_count=*/2, /*entity_index=*/true);
+  PartialTable t(/*node_count=*/2);
   t.Insert(kBinding, /*next_edge=*/1, /*first_ts=*/10, /*last_ts=*/10,
-           /*expiry=*/110, PartialTable::Role::kEntity, /*key=*/8);
-  t.Insert(kBinding, 1, 20, 20, 120, PartialTable::Role::kWildcard, 0);
+           /*expiry=*/110, /*key=*/8);
+  t.Insert(kBinding, 1, 20, 20, 120, /*key=*/7);
   return t;
 }
 
 TEST(PartialTableInvariantsTest, CleanTableReportsNothing) {
-  PartialTable t(2, true);
+  PartialTable t(2);
   EXPECT_EQ(t.CheckInvariants(), "");
 
   t = MakeTable();
@@ -82,12 +82,12 @@ TEST(PartialTableInvariantsTest, DetectsBindingArenaSizeMismatch) {
 }
 
 TEST(PartialTableInvariantsTest, DetectsBucketPositionDrift) {
-  // Two wildcard partials occupy bucket positions 0 and 1; pointing the
-  // second one's back-reference at position 0 breaks the swap-removal
-  // contract (Remove would patch the wrong slot).
-  PartialTable t(2, /*entity_index=*/false);
-  t.Insert(kBinding, 1, 10, 10, 110, PartialTable::Role::kWildcard, 0);
-  t.Insert(kBinding, 1, 20, 20, 120, PartialTable::Role::kWildcard, 0);
+  // Two partials in one entity bucket occupy positions 0 and 1; pointing
+  // the second one's back-reference at position 0 breaks the
+  // swap-removal contract (Remove would patch the wrong slot).
+  PartialTable t(2);
+  t.Insert(kBinding, 1, 10, 10, 110, /*key=*/8);
+  t.Insert(kBinding, 1, 20, 20, 120, /*key=*/8);
   ASSERT_EQ(t.CheckInvariants(), "");
   PartialTableTestPeer::bucket_pos(t, 1) = 0;
   EXPECT_EQ(t.CheckInvariants(), "slot 1 bucket_pos 0 != actual position 1");

@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "matching/edge_scan_matcher.h"
 #include "mining/miner.h"
+#include "query/searcher.h"
 #include "test_util.h"
 
 namespace tgm {
@@ -71,7 +71,8 @@ TEST(ConcurrentEdgesTest, SequentializedDataIsMinable) {
 
 TEST(ConcurrentEdgesTest, MatchersUsePositionOrderNotTimestamps) {
   // Two edges share a timestamp; after sequentialization the position
-  // order is what the matchers honour.
+  // order is what the matchers honour: the forward chain matches at
+  // [7, 7], the reversed one not at all.
   TemporalGraph g;
   g.AddNode(0);
   g.AddNode(1);
@@ -81,9 +82,9 @@ TEST(ConcurrentEdgesTest, MatchersUsePositionOrderNotTimestamps) {
   g.Finalize(TiePolicy::kBreakByInsertionOrder);
   Pattern forward = tgm::testing::MakePattern({0, 1, 2}, {{0, 1}, {1, 2}});
   Pattern backward = tgm::testing::MakePattern({1, 2, 0}, {{0, 1}, {2, 0}});
-  EdgeScanMatcher matcher;
-  EXPECT_TRUE(matcher.Exists(forward, g));
-  EXPECT_FALSE(matcher.Exists(backward, g));
+  TemporalQuerySearcher searcher(TemporalQuerySearcher::Options{});
+  EXPECT_EQ(searcher.Search(forward, g), (std::vector<Interval>{{7, 7}}));
+  EXPECT_TRUE(searcher.Search(backward, g).empty());
 }
 
 }  // namespace

@@ -44,13 +44,11 @@ struct EngineRun {
 
 EngineRun RunEngine(const Pattern& query, const TemporalConstraints& c,
                     const std::vector<StreamEvent>& events, Timestamp window,
-                    bool guard_expiry = true, int num_shards = 1,
-                    std::size_t batch_size = 1) {
+                    int num_shards = 1, std::size_t batch_size = 1) {
   StreamEngine::Options options;
   options.window = window;
   options.num_shards = num_shards;
   options.batch_size = batch_size;
-  options.guard_expiry = guard_expiry;
   StreamEngine engine(options);
   engine.AddQuery(query, window, c);
   EngineRun run;
@@ -351,18 +349,17 @@ TEST(StreamConstraintsTest, GuardExpiryShrinksPeakPartialsAlertsIdentical) {
     }
   }
 
-  EngineRun guard_on =
-      RunEngine(p, c, events, /*window=*/1000, /*guard_expiry=*/true);
-  EngineRun guard_off =
-      RunEngine(p, c, events, /*window=*/1000, /*guard_expiry=*/false);
-  // Same alert stream (guards are checked on extension either way)...
-  EXPECT_EQ(guard_on.alerts, guard_off.alerts);
-  EXPECT_EQ(guard_on.alerts.size(), 4u);
-  EXPECT_EQ(guard_on.dropped, guard_off.dropped);
-  // ...but the guard-driven expiry keeps only the partials that can still
-  // complete (max_gap 2), while window-only expiry hoards all of them.
-  EXPECT_LT(guard_on.peak_partials, guard_off.peak_partials / 10);
-  EXPECT_LT(guard_on.live_partials, guard_off.live_partials);
+  EngineRun run = RunEngine(p, c, events, /*window=*/1000);
+  EXPECT_EQ(AlertIntervals(run), (std::vector<Interval>{
+                                     {50, 51}, {100, 101}, {150, 151},
+                                     {200, 201}}));
+  EXPECT_EQ(run.alerts.size(), 4u);
+  EXPECT_EQ(run.dropped, 0);
+  // The guard-driven expiry keeps only the partials that can still
+  // complete within the 2-tick max gap. Expiring by the 1000-tick window
+  // alone would hold every one of the 204 seeds live to the end.
+  EXPECT_EQ(run.peak_partials, 4u);
+  EXPECT_EQ(run.live_partials, 3u);
 }
 
 // --- degenerate-case parity (stream) ----------------------------------------

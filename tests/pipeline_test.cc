@@ -96,23 +96,6 @@ TEST_F(PipelineTest, EndToEndRunsProduceMatches) {
   EXPECT_GT(tg.precision(), 0.5);
 }
 
-TEST_F(PipelineTest, MonitorTemporalMatchesOfflineSearchAcrossShards) {
-  // The stream-engine stage replaying the test log must reproduce the
-  // offline searcher's distinct intervals, independent of shard count.
-  int idx = IndexOf(BehaviorKind::kGzipDecompress);
-  MinerConfig cfg = pipeline()->config().miner;
-  cfg.max_edges = 3;
-  MineResult result = pipeline()->MineTemporal(idx, cfg);
-  auto queries = pipeline()->TemporalQueries(result);
-  ASSERT_FALSE(queries.empty());
-
-  std::vector<Interval> offline = pipeline()->SearchTemporal(idx, queries);
-  std::vector<Interval> online = pipeline()->MonitorTemporal(idx, queries, 1);
-  EXPECT_EQ(online, offline);
-  EXPECT_EQ(pipeline()->MonitorTemporal(idx, queries, 2), online);
-  EXPECT_EQ(pipeline()->MonitorTemporal(idx, queries, 4), online);
-}
-
 TEST_F(PipelineTest, NtempRunsEndToEnd) {
   int idx = IndexOf(BehaviorKind::kGzipDecompress);
   AccuracyResult nt = pipeline()->RunNtemp(idx);

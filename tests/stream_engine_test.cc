@@ -1,7 +1,9 @@
 // The stream engine subsystem (src/query/stream/): compiled query plans,
-// the entity-keyed partial index vs. the legacy full-scan path,
-// out-of-order input handling, backpressure (oldest-first eviction with
-// per-query drop accounting), batching/Flush, and the EngineStats surface.
+// the entity-keyed partial index, out-of-order input handling,
+// backpressure (oldest-first eviction with per-query drop accounting),
+// batching/Flush, and the EngineStats surface. The match semantics
+// themselves are checked against the brute-force reference in
+// reference_differential_test.
 
 #include "query/stream/engine.h"
 
@@ -74,36 +76,6 @@ TEST(CompiledQueryPlanTest, SeedMatchesChecksLabelsAndLoopShape) {
   EXPECT_FALSE(plan.SeedMatches(Ev(7, 8, 1, 0, 5)));   // labels swapped
   EXPECT_FALSE(plan.SeedMatches(Ev(7, 7, 0, 1, 5)));   // loop vs non-loop
   EXPECT_FALSE(plan.SeedMatches(Ev(7, 8, 0, 1, 5, 3)));  // edge label
-}
-
-TEST(StreamEngineTest, IndexedPathMatchesFullScanPath) {
-  // The entity-keyed index is a pure acceleration structure in the
-  // drop-free regime: on random streams that stay under the partial cap,
-  // the indexed engine must produce the exact alert sequence and
-  // live-partial counts of the wildcard full-scan path. (Under
-  // backpressure the eviction tie-break follows insertion order, which
-  // legitimately differs between the paths — see
-  // StreamEngine::Options::entity_index.)
-  std::mt19937_64 rng(77);
-  for (int trial = 0; trial < 12; ++trial) {
-    TemporalGraph log = tgm::testing::RandomGraph(rng, 7, 40, 2);
-    StreamEngine::Options indexed;
-    indexed.window = 30;
-    StreamEngine::Options scan = indexed;
-    scan.entity_index = false;
-    StreamEngine a(indexed);
-    StreamEngine b(scan);
-    for (int q = 0; q < 4; ++q) {
-      Pattern query = tgm::testing::RandomPattern(
-          rng, 2 + static_cast<int>(rng() % 2), 2);
-      a.AddQuery(query);
-      b.AddQuery(query);
-    }
-    std::vector<StreamEvent> events = GraphEvents(log);
-    EXPECT_EQ(FeedAll(a, events), FeedAll(b, events)) << "trial " << trial;
-    EXPECT_EQ(a.PartialCount(), b.PartialCount());
-    EXPECT_EQ(a.dropped_partials(), b.dropped_partials());
-  }
 }
 
 TEST(StreamEngineTest, AgreesWithOfflineSearcherAcrossBatchSizes) {
@@ -291,27 +263,12 @@ TEST(StreamEngineTest, StatsSnapshotReportsIndexOccupancyAndPeaks) {
   ASSERT_EQ(stats.queries.size(), 1u);
   EXPECT_EQ(stats.queries[0].live_partials, 4u);
   EXPECT_EQ(stats.queries[0].peak_partials, 4u);
-  // Each partial waits on its own bound entity -> four occupied buckets,
-  // nothing in the wildcard bucket.
+  // Each partial waits on its own bound entity -> four occupied buckets.
   EXPECT_EQ(stats.queries[0].index_buckets, 4u);
-  EXPECT_EQ(stats.queries[0].wildcard_partials, 0u);
   EXPECT_EQ(stats.live_partials, 4u);
   ASSERT_EQ(stats.shard_events.size(), 1u);
   EXPECT_EQ(stats.shard_events[0], 4);
   EXPECT_EQ(stats.queries[0].alerts, 0);
-}
-
-TEST(StreamEngineTest, FullScanModeFilesEverythingUnderWildcard) {
-  StreamEngine::Options options;
-  options.window = 1000000;
-  options.entity_index = false;
-  StreamEngine engine(options);
-  engine.AddQuery(MakePattern({0, 1, 2}, {{0, 1}, {1, 2}}));
-  FeedAll(engine, {Ev(1, 2, 0, 1, 1), Ev(3, 4, 0, 1, 2)});
-
-  EngineStats stats = engine.Stats();
-  EXPECT_EQ(stats.queries[0].index_buckets, 0u);
-  EXPECT_EQ(stats.queries[0].wildcard_partials, 2u);
 }
 
 TEST(StreamEngineTest, SeedDispatchSkipsIdleQueriesAndCountsThem) {

@@ -30,7 +30,6 @@ struct RunResult {
   std::vector<std::size_t> per_query_live;
   std::vector<std::size_t> per_query_peak;
   std::vector<std::size_t> per_query_buckets;
-  std::vector<std::size_t> per_query_wildcard;
 };
 
 RunResult RunEngine(const StreamEngine::Options& options,
@@ -61,7 +60,6 @@ RunResult RunEngine(const StreamEngine::Options& options,
     result.per_query_live.push_back(q.live_partials);
     result.per_query_peak.push_back(q.peak_partials);
     result.per_query_buckets.push_back(q.index_buckets);
-    result.per_query_wildcard.push_back(q.wildcard_partials);
   }
   return result;
 }
@@ -79,7 +77,6 @@ void ExpectIdentical(const RunResult& want, const RunResult& got,
   EXPECT_EQ(want.per_query_live, got.per_query_live);
   EXPECT_EQ(want.per_query_peak, got.per_query_peak);
   EXPECT_EQ(want.per_query_buckets, got.per_query_buckets);
-  EXPECT_EQ(want.per_query_wildcard, got.per_query_wildcard);
 }
 
 class StreamShardTest : public ::testing::TestWithParam<int> {
@@ -289,18 +286,16 @@ TEST(StreamShardPlumbingTest, RoundRobinPartition) {
 // extended — twice.
 
 TEST(PartialTableSelfLoopTest, SelfLoopProbesBucketOnce) {
-  PartialTable table(/*node_count=*/3, /*entity_index=*/true);
+  PartialTable table(/*node_count=*/3);
   const std::vector<std::int64_t> binding = {5, 7, kUnboundEntity};
-  table.Insert(binding, 1, 1, 1, PartialTable::kNeverExpires,
-               PartialTable::Role::kEntity, 7);
+  table.Insert(binding, 1, 1, 1, PartialTable::kNeverExpires, /*key=*/7);
   int visits = 0;
   table.ForEachExtendable(7, 7, [&](std::uint32_t) { ++visits; });
   EXPECT_EQ(visits, 1);  // would be 2 if both endpoint probes fired
 
   // Distinct endpoints still probe both buckets.
   const std::vector<std::int64_t> other = {9, 11, kUnboundEntity};
-  table.Insert(other, 1, 2, 2, PartialTable::kNeverExpires,
-               PartialTable::Role::kEntity, 9);
+  table.Insert(other, 1, 2, 2, PartialTable::kNeverExpires, /*key=*/9);
   visits = 0;
   table.ForEachExtendable(7, 9, [&](std::uint32_t) { ++visits; });
   EXPECT_EQ(visits, 2);
