@@ -25,7 +25,6 @@ int main() {
   config.dataset.test_instances = 60;
   config.dataset.seed = 21;
   config.query_size = 6;
-  config.miner.max_millis = 60000;
   Pipeline pipeline(config);
   std::printf("preparing training data and mining scp-download queries...\n");
   pipeline.Prepare();

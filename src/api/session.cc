@@ -28,14 +28,14 @@ Status ValidateCorpusName(std::string_view name) {
   return Status::Ok();
 }
 
-Status ValidateLabelToken(std::string_view label, const std::string& context,
+Status ValidateLabelToken(std::string_view label, std::string_view context,
                           const char* what) {
   if (label.empty()) {
-    return Status::InvalidArgument(context + ": empty " + std::string(what));
+    return Status::InvalidArgument(std::string(context) + ": empty " + what);
   }
   if (HasWhitespace(label)) {
     return Status::InvalidArgument(
-        context + ": " + what + " '" + std::string(label) +
+        std::string(context) + ": " + what + " '" + std::string(label) +
         "' contains whitespace (labels must be single tokens; they "
         "round-trip through the text formats)");
   }

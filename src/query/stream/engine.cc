@@ -146,11 +146,13 @@ EngineStats StreamEngine::Stats() const {
       row.peak_partials = query.table().peak();
       row.index_buckets = query.table().bucket_count();
       row.dropped_partials = query.dropped_partials();
+      row.collapsed_partials = query.collapsed_partials();
       row.alerts = query.alerts();
       row.seed_skips = query.seed_skips();
       stats.queries.push_back(row);
       stats.live_partials += row.live_partials;
       stats.dropped_partials += row.dropped_partials;
+      stats.collapsed_partials += row.collapsed_partials;
       stats.alerts += row.alerts;
       stats.seed_skips += row.seed_skips;
     }

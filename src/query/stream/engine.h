@@ -21,6 +21,9 @@ struct EngineQueryStats {
   std::size_t peak_partials = 0;  ///< high-water mark of live partials
   std::size_t index_buckets = 0;  ///< occupied entity buckets
   std::int64_t dropped_partials = 0;  ///< backpressure evictions/drops
+  /// New partials not stored because a live partial with the same
+  /// identity dominates them (see PartialTable).
+  std::int64_t collapsed_partials = 0;
   std::int64_t alerts = 0;
   /// Events this query never probed: it had no live partials and the
   /// seed-dispatch bitmap proved its edge-0 labels cannot match the event
@@ -37,6 +40,7 @@ struct EngineStats {
   std::int64_t out_of_order_events = 0;
   std::size_t live_partials = 0;
   std::int64_t dropped_partials = 0;
+  std::int64_t collapsed_partials = 0;
   std::int64_t alerts = 0;
   std::int64_t seed_skips = 0;  ///< total over queries (seed dispatch)
 };

@@ -1,7 +1,10 @@
 #include "query/stream/partial_table.h"
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <tuple>
+#include <vector>
 
 namespace tgm {
 
@@ -27,11 +30,34 @@ std::string SlotStr(std::uint32_t slot) {
 
 }  // namespace
 
-std::uint32_t PartialTable::Insert(std::span<const std::int64_t> binding,
-                                   std::uint32_t next_edge,
-                                   Timestamp first_ts, Timestamp last_ts,
-                                   Timestamp expiry, std::int64_t key) {
+void PartialTable::Insert(std::span<const std::int64_t> binding,
+                          std::uint32_t next_edge, Timestamp first_ts,
+                          Timestamp last_ts, Timestamp expiry,
+                          std::int64_t key) {
   TGM_DCHECK(binding.size() == node_count_);
+  // A live partial with the newcomer's identity files under the same key,
+  // so the one lookup that finds the target bucket also finds it.
+  auto it = by_entity_.try_emplace(key).first;
+  if (Collapses(next_edge)) {
+    for (std::uint32_t live : it->second) {
+      const Meta& m = meta_[live];
+      if (m.next_edge == next_edge && m.first_ts == first_ts &&
+          std::ranges::equal(binding, this->binding(live))) {
+        ++collapsed_;
+        return;
+      }
+    }
+  }
+  if (live_ >= max_live_) {
+    ++dropped_;
+    if (max_live_ == 0) {
+      by_entity_.erase(it);  // the table is empty, so the bucket is new
+      return;
+    }
+    EvictOldest();
+    // The eviction may have erased this very bucket.
+    it = by_entity_.try_emplace(key).first;
+  }
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -49,13 +75,12 @@ std::uint32_t PartialTable::Insert(std::span<const std::int64_t> binding,
   m.last_ts = last_ts;
   m.key = key;
   m.seq = next_seq_++;
-  std::vector<std::uint32_t>& bucket = by_entity_[key];
+  std::vector<std::uint32_t>& bucket = it->second;
   m.bucket_pos = static_cast<std::uint32_t>(bucket.size());
   bucket.push_back(slot);
   by_age_.push(AgeKey{expiry, first_ts, m.seq, slot});
   ++live_;
   if (live_ > peak_) peak_ = live_;
-  return slot;
 }
 
 void PartialTable::Remove(std::uint32_t slot) {
@@ -161,6 +186,22 @@ std::string PartialTable::CheckInvariants() const {
   if (filed != live_) {
     return "buckets file " + std::to_string(filed) + " partials, live count " +
            std::to_string(live_);
+  }
+  // The collapse rule (see Insert).
+  using Identity =
+      std::tuple<std::uint32_t, Timestamp, std::vector<std::int64_t>>;
+  std::map<Identity, std::uint32_t> identities;
+  for (std::uint32_t slot = 0; slot < slots; ++slot) {
+    const Meta& m = meta_[slot];
+    if (is_free[slot] || !Collapses(m.next_edge)) continue;
+    const std::span<const std::int64_t> b = binding(slot);
+    const auto [it, fresh] = identities.try_emplace(
+        Identity{m.next_edge, m.first_ts, {b.begin(), b.end()}}, slot);
+    if (!fresh) {
+      return SlotStr(it->second) + " and " + SlotStr(slot) +
+             " share an identity on collapsing edge " +
+             std::to_string(m.next_edge);
+    }
   }
   // The age heap covers exactly the live slots — the table has no lazy
   // deletion, so any mismatch is a leak or a dangling reference.

@@ -49,6 +49,13 @@ struct PartialTableTestPeer;
 ///   (first_ts, seq) age order and both expiry and eviction behave
 ///   bit-identically to the pre-constraint table. Partials are only ever
 ///   removed through this heap, so it needs no lazy deletion.
+/// - **Duplicate collapse.** A partial's identity is (next edge, first_ts,
+///   binding). On a *collapsing* next edge, one whose transition has no
+///   max_gap, Insert drops a newcomer whose identity a live partial has:
+///   events arrive in timestamp order, so the live one's `last_ts` is no
+///   later; it passes every min_gap test the newcomer would, expires at
+///   the same time, and yields the same children and completions. Equal
+///   identities file under one key, so only the target bucket is scanned.
 ///
 /// Bucket iteration order is insertion order (swap-removal perturbs it
 /// deterministically), so every operation is a pure function of the event
@@ -59,11 +66,22 @@ class PartialTable {
   static constexpr Timestamp kNeverExpires =
       std::numeric_limits<Timestamp>::max();
 
-  explicit PartialTable(std::size_t node_count) : node_count_(node_count) {}
+  /// `collapsing[k]` marks next edge k as collapsing (edges past its end
+  /// are not). Insert evicts to keep at most `max_live` partials.
+  explicit PartialTable(
+      std::size_t node_count, std::vector<bool> collapsing = {},
+      std::size_t max_live = std::numeric_limits<std::size_t>::max())
+      : node_count_(node_count),
+        collapsing_(std::move(collapsing)),
+        max_live_(max_live) {}
 
   std::size_t live() const { return live_; }
   /// High-water mark of live partials.
   std::size_t peak() const { return peak_; }
+  /// Newcomers evicted for, or dropped at, the `max_live` cap.
+  std::int64_t dropped() const { return dropped_; }
+  /// Newcomers not stored because a live partial had their identity.
+  std::int64_t collapsed() const { return collapsed_; }
   /// Occupied entity buckets.
   std::size_t bucket_count() const { return by_entity_.size(); }
 
@@ -100,13 +118,15 @@ class PartialTable {
     }
   }
 
-  /// Files a new partial; `binding` must have node_count entries. `key` is
-  /// the entity the *next* transition requires (see RouteForNextEdge).
-  /// `expiry` is the stream time at which the partial becomes dead
-  /// (kNeverExpires = only eviction can remove it).
-  std::uint32_t Insert(std::span<const std::int64_t> binding,
-                       std::uint32_t next_edge, Timestamp first_ts,
-                       Timestamp last_ts, Timestamp expiry, std::int64_t key);
+  /// Files a new partial unless it collapses (counted in collapsed());
+  /// `binding` must have node_count entries. `key` is the entity the
+  /// *next* transition requires (see RouteForNextEdge). `expiry` is the
+  /// stream time at which the partial becomes dead (kNeverExpires = only
+  /// eviction can remove it). At the `max_live` cap it first evicts
+  /// (EvictOldest); a zero cap drops the newcomer. Both count in dropped().
+  void Insert(std::span<const std::int64_t> binding, std::uint32_t next_edge,
+              Timestamp first_ts, Timestamp last_ts, Timestamp expiry,
+              std::int64_t key);
 
   /// Removes every partial whose expiry precedes `now` (window expiry and
   /// guard-deadline expiry in one pass; a partial with expiry == now can
@@ -123,8 +143,8 @@ class PartialTable {
   /// violated invariant. Checked relations: binding-arena and free-list
   /// bounds; live count == allocated − free == Σ bucket sizes; every
   /// bucket entry's meta (key, bucket_pos) points back at its
-  /// bucket; no empty entity buckets; the age heap covers exactly the live
-  /// slots.
+  /// bucket; no empty entity buckets; no two live partials on a collapsing
+  /// edge share an identity; the age heap covers exactly the live slots.
   std::string CheckInvariants() const;
 
  private:
@@ -145,8 +165,13 @@ class PartialTable {
       std::tuple<Timestamp, Timestamp, std::uint64_t, std::uint32_t>;
 
   void Remove(std::uint32_t slot);
+  bool Collapses(std::uint32_t next_edge) const {
+    return next_edge < collapsing_.size() && collapsing_[next_edge];
+  }
 
   std::size_t node_count_;
+  std::vector<bool> collapsing_;
+  std::size_t max_live_;
   std::vector<Meta> meta_;
   std::vector<std::int64_t> bindings_;  // slots x node_count_
   std::vector<std::uint32_t> free_slots_;
@@ -156,6 +181,8 @@ class PartialTable {
       by_age_;
   std::size_t live_ = 0;
   std::size_t peak_ = 0;
+  std::int64_t dropped_ = 0;
+  std::int64_t collapsed_ = 0;
   std::uint64_t next_seq_ = 0;
 };
 

@@ -105,6 +105,14 @@ std::int64_t RouteForNextEdge(const CompiledQueryPlan& plan,
   return dst;
 }
 
+std::vector<bool> CollapsingEdges(const CompiledQueryPlan& plan) {
+  std::vector<bool> collapsing(plan.edge_count());
+  for (std::size_t k = 0; k < collapsing.size(); ++k) {
+    collapsing[k] = plan.transition(k).max_gap == kNoGapLimit;
+  }
+  return collapsing;
+}
+
 Timestamp ComputePartialExpiry(const CompiledQueryPlan& plan,
                                Timestamp window, std::uint32_t next_edge,
                                Timestamp first_ts, Timestamp last_ts) {
@@ -209,14 +217,7 @@ void QueryRuntime::InsertPending() {
   const std::size_t n = plan_.node_count();
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     std::span<const std::int64_t> binding{pending_bindings_.data() + i * n, n};
-    if (table_.live() >= limits_.max_partials) {
-      // Backpressure: make room by evicting the partial closest to death
-      // (see StreamLimits::max_partials). With a zero cap nothing can be
-      // stored at all, so the newcomer itself is the drop.
-      ++dropped_partials_;
-      if (limits_.max_partials == 0) continue;
-      table_.EvictOldest();
-    }
+    // The table collapses duplicates, then applies backpressure.
     table_.Insert(binding, pending_[i].next_edge, pending_[i].first_ts,
                   pending_[i].last_ts,
                   ComputePartialExpiry(plan_, window_, pending_[i].next_edge,

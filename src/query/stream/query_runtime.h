@@ -74,6 +74,12 @@ std::int64_t RouteForNextEdge(const CompiledQueryPlan& plan,
                               std::uint32_t next_edge,
                               std::span<const std::int64_t> binding);
 
+/// The next edges on which a PartialTable collapses duplicate partials:
+/// those with no max_gap, the only guard under which an older `last_ts`
+/// can do less (MatchTransition and ComputePartialExpiry read `last_ts`
+/// only through the gap guards).
+std::vector<bool> CollapsingEdges(const CompiledQueryPlan& plan);
+
 /// The stream time at which a partial waiting on `next_edge` with the
 /// given timestamps becomes provably dead: the window horizon, tightened
 /// (for constrained plans) by the next transition's max_gap and the
@@ -107,9 +113,9 @@ class QueryRuntime {
                const StreamLimits& limits)
       : global_index_(global_index),
         plan_(query, constraints),
-        limits_(limits),
         window_(plan_.EffectiveWindow(limits.window)),
-        table_(plan_.node_count()) {}
+        table_(plan_.node_count(), CollapsingEdges(plan_),
+               limits.max_partials) {}
 
   std::size_t global_index() const { return global_index_; }
   const CompiledQueryPlan& plan() const { return plan_; }
@@ -117,7 +123,8 @@ class QueryRuntime {
   /// The span bound actually enforced: the engine window folded with the
   /// query's deadline (0 = unbounded).
   Timestamp effective_window() const { return window_; }
-  std::int64_t dropped_partials() const { return dropped_partials_; }
+  std::int64_t dropped_partials() const { return table_.dropped(); }
+  std::int64_t collapsed_partials() const { return table_.collapsed(); }
   std::int64_t alerts() const { return alerts_; }
   std::int64_t seed_skips() const { return seed_skips_; }
 
@@ -143,13 +150,11 @@ class QueryRuntime {
 
   std::size_t global_index_;
   CompiledQueryPlan plan_;
-  StreamLimits limits_;
   Timestamp window_;
   PartialTable table_;
   /// Dedup of emitted alert intervals, ordered by (begin, end): lookup and
   /// insert are one O(log) probe, window expiry erases the ordered front.
   std::set<Interval> emitted_;
-  std::int64_t dropped_partials_ = 0;
   std::int64_t alerts_ = 0;
   std::int64_t seed_skips_ = 0;
   // Scratch reused across events (capacity persists, no steady-state

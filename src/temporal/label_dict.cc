@@ -3,7 +3,7 @@
 namespace tgm {
 
 LabelId LabelDict::Intern(std::string_view name) {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
   LabelId id = static_cast<LabelId>(names_.size());
   names_.emplace_back(name);
@@ -12,7 +12,7 @@ LabelId LabelDict::Intern(std::string_view name) {
 }
 
 LabelId LabelDict::Lookup(std::string_view name) const {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   return it == ids_.end() ? kInvalidLabel : it->second;
 }
 

@@ -1,6 +1,7 @@
 #ifndef TGM_TEMPORAL_LABEL_DICT_H_
 #define TGM_TEMPORAL_LABEL_DICT_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -33,7 +34,16 @@ class LabelDict {
   std::size_t size() const { return names_.size(); }
 
  private:
-  std::unordered_map<std::string, LabelId> ids_;
+  /// Hashes every string type through std::string_view, so that `find`
+  /// takes a string_view without building a std::string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
+  std::unordered_map<std::string, LabelId, NameHash, std::equal_to<>> ids_;
   std::vector<std::string> names_;
 };
 

@@ -41,8 +41,8 @@ class Pattern {
   /// Empty pattern (the DFS root).
   Pattern() = default;
 
-  /// A single-edge pattern. For a self-loop pass src_label only and set
-  /// `self_loop`.
+  /// A single-edge pattern between two distinct nodes. A self-loop seed
+  /// needs FromTemporalGraph on a one-node graph instead.
   static Pattern SingleEdge(LabelId src_label, LabelId dst_label,
                             LabelId elabel = kNoEdgeLabel);
 

@@ -100,6 +100,22 @@ TEST(PartialTableInvariantsTest, DetectsFreeListCorruption) {
   EXPECT_EQ(t.CheckInvariants(), "live count 2 != allocated 2 - free 1");
 }
 
+TEST(PartialTableInvariantsTest, DetectsDuplicateIdentityOnCollapsingEdge) {
+  // Next edge 1 collapses. Two partials that differ only in their bound
+  // destination are both stored; rewriting the second binding to match
+  // the first leaves two live partials with one identity, which Insert
+  // never stores.
+  PartialTable t(2, /*collapsing=*/{false, true});
+  const std::int64_t other[] = {7, 9};
+  t.Insert(kBinding, 1, 10, 10, 110, /*key=*/7);
+  t.Insert(other, 1, 10, 12, 110, /*key=*/7);
+  ASSERT_EQ(t.live(), 2u);
+  ASSERT_EQ(t.CheckInvariants(), "");
+  PartialTableTestPeer::bindings(t)[3] = 8;
+  EXPECT_EQ(t.CheckInvariants(),
+            "slot 0 and slot 1 share an identity on collapsing edge 1");
+}
+
 // --- StreamEngine ------------------------------------------------------
 
 std::vector<StreamEvent> TwoEdgeWorkload() {

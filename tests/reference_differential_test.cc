@@ -215,9 +215,11 @@ Case RandomCase(std::uint64_t seed) {
 }
 
 /// Per-query alert intervals of a StreamEngine replay of the case's log,
-/// each sorted (duplicates kept: the engine must not emit any).
+/// each sorted (duplicates kept: the engine must not emit any). Adds the
+/// replay's collapsed partials to `*collapsed`.
 std::vector<std::vector<Interval>> Replay(const Case& c, int num_shards,
-                                          std::size_t batch_size) {
+                                          std::size_t batch_size,
+                                          std::int64_t* collapsed) {
   StreamEngine::Options options;
   options.window = c.window;
   options.num_shards = num_shards;
@@ -234,6 +236,7 @@ std::vector<std::vector<Interval>> Replay(const Case& c, int num_shards,
     engine.OnEvent(StreamEvent::FromEdge(c.log, e), sink);
   }
   engine.Flush(sink);
+  *collapsed += engine.Stats().collapsed_partials;
   for (std::vector<Interval>& intervals : alerts) {
     std::sort(intervals.begin(), intervals.end());
   }
@@ -258,6 +261,7 @@ std::string Describe(const Case& c, std::size_t q) {
 
 TEST(ReferenceDifferentialTest, SearchAndWatchReturnTheReferenceIntervals) {
   int non_empty = 0;
+  std::int64_t collapsed = 0;
   int failures = 0;
   for (int seed = 0; seed < kCases && failures < 5; ++seed) {
     const Case c = RandomCase(static_cast<std::uint64_t>(seed));
@@ -281,7 +285,7 @@ TEST(ReferenceDifferentialTest, SearchAndWatchReturnTheReferenceIntervals) {
     for (int shards : {1, 2}) {
       for (std::size_t batch : {std::size_t{1}, std::size_t{7}}) {
         const std::vector<std::vector<Interval>> got =
-            Replay(c, shards, batch);
+            Replay(c, shards, batch, &collapsed);
         for (std::size_t q = 0; q < c.queries.size(); ++q) {
           EXPECT_EQ(got[q], want[q])
               << "Watch at " << shards << " shard(s), batch " << batch
@@ -292,10 +296,14 @@ TEST(ReferenceDifferentialTest, SearchAndWatchReturnTheReferenceIntervals) {
       }
     }
   }
-  // Thousands of empty agreements would prove nothing.
+  // Thousands of empty agreements would prove nothing, and neither would
+  // replays that never exercise the duplicate collapse.
   EXPECT_GE(non_empty, 500);
-  std::printf("%d of %d reference results non-empty\n", non_empty,
-              kCases * kQueriesPerCase);
+  EXPECT_GE(collapsed, 500);
+  std::printf("%d of %d reference results non-empty; %lld partials "
+              "collapsed over the replays\n",
+              non_empty, kCases * kQueriesPerCase,
+              static_cast<long long>(collapsed));
 }
 
 }  // namespace

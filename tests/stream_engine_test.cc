@@ -343,6 +343,68 @@ TEST(StreamEngineTest, SeedSkipsIdenticalAcrossShardsAndBatches) {
   EXPECT_EQ(run(4, 16), reference);
 }
 
+// --- duplicate collapse -------------------------------------------------
+//
+// Chain A(0)->B(1)->C(2)->D(3). The seed (1,2) at ts 1 leaves one partial
+// waiting on edge 1; (2,3) at ts 2 and again at ts 3 extends it twice into
+// two partials waiting on edge 2 with the same first_ts and binding, which
+// differ only in last_ts (2 and 3); (3,4) at ts 4 completes the chain.
+
+struct CollapseRun {
+  std::size_t live_before_last = 0;
+  std::int64_t collapsed = 0;
+  std::vector<StreamAlert> alerts;
+};
+
+CollapseRun RunRepeatedMiddleEdge(const TemporalConstraints& constraints) {
+  StreamEngine::Options options;
+  options.window = 100;
+  StreamEngine engine(options);
+  engine.AddQuery(MakePattern({0, 1, 2, 3}, {{0, 1}, {1, 2}, {2, 3}}),
+                  options.window, constraints);
+  CollapseRun run;
+  run.alerts = FeedAll(engine, {Ev(1, 2, 0, 1, 1), Ev(2, 3, 1, 2, 2),
+                                Ev(2, 3, 1, 2, 3)});
+  run.live_before_last = engine.PartialCount();
+  run.collapsed = engine.Stats().collapsed_partials;
+  std::vector<StreamAlert> last = FeedAll(engine, {Ev(3, 4, 2, 3, 4)});
+  run.alerts.insert(run.alerts.end(), last.begin(), last.end());
+  return run;
+}
+
+TEST(StreamEngineTest, UnguardedDuplicateCollapsesIntoTheLivePartial) {
+  // No guards: the ts-3 copy adds nothing, so it is not stored.
+  const CollapseRun run = RunRepeatedMiddleEdge(TemporalConstraints());
+  EXPECT_EQ(run.live_before_last, 2u);  // the seed and one copy, not two
+  EXPECT_EQ(run.collapsed, 1);
+  ASSERT_EQ(run.alerts.size(), 1u);
+  EXPECT_EQ(run.alerts[0].interval, (Interval{1, 4}));
+}
+
+TEST(StreamEngineTest, CollapseKeepsTheOlderCopyUnderMinGap) {
+  // min_gap 2 on edge 2: only the older copy (last_ts 2) may complete at
+  // ts 4. Keeping the newer copy instead would lose the alert.
+  TemporalConstraints constraints(3);
+  constraints.mutable_guard(2).min_gap = 2;
+  const CollapseRun run = RunRepeatedMiddleEdge(constraints);
+  EXPECT_EQ(run.live_before_last, 2u);
+  EXPECT_EQ(run.collapsed, 1);
+  ASSERT_EQ(run.alerts.size(), 1u);
+  EXPECT_EQ(run.alerts[0].interval, (Interval{1, 4}));
+}
+
+TEST(StreamEngineTest, MaxGapKeepsBothCopies) {
+  // max_gap 1 on edge 2: the older copy expires after ts 3, and only the
+  // newer one can complete at ts 4. Collapsing would lose the alert.
+  TemporalConstraints constraints(3);
+  constraints.mutable_guard(2).max_gap = 1;
+  const CollapseRun run = RunRepeatedMiddleEdge(constraints);
+  EXPECT_EQ(run.live_before_last, 3u);
+  EXPECT_EQ(run.collapsed, 0);
+  ASSERT_EQ(run.alerts.size(), 1u);
+  EXPECT_EQ(run.alerts[0].interval, (Interval{1, 4}));
+}
+
 TEST(StreamEngineTest, PerQueryWindowOverridesEngineDefault) {
   // One engine, two identical patterns, different expiry horizons: the
   // tight window must reject the wide-span completion the loose one (the

@@ -307,9 +307,9 @@ TEST_P(SelfLoopExtensionTest, SelfLoopEventExtendsPartialOnce) {
   // Query: A -[e0]-> B, B -[e1]-> B (self-loop), B -[e2]-> C. After the
   // seed, the partial waits on the self-loop transition in entity bucket
   // B; the self-loop event must extend it exactly once. A double probe
-  // would leave a duplicate partial behind (live 3, not 2) — the final
-  // completion stays deduplicated either way, which is exactly why the
-  // live count is the pin.
+  // would extend it twice — the final completion stays deduplicated
+  // either way, so the pins are the live count and the collapse count:
+  // the second copy has the first one's identity and collapses into it.
   const int num_shards = GetParam();
   Pattern p = Pattern::SingleEdge(0, 1).GrowInward(1, 1).GrowForward(1, 2);
 
@@ -332,6 +332,7 @@ TEST_P(SelfLoopExtensionTest, SelfLoopEventExtendsPartialOnce) {
   EngineStats stats = engine.Stats();
   ASSERT_EQ(stats.queries.size(), 1u);
   EXPECT_EQ(stats.queries[0].peak_partials, 2u);
+  EXPECT_EQ(stats.queries[0].collapsed_partials, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, SelfLoopExtensionTest,
